@@ -35,7 +35,6 @@ from .masking import (
     MaskSchedule,
     allowed_widths,
     apply_corruption,
-    baseline_plan_mask,
     expected_mask_fraction,
     plan_mask,
 )

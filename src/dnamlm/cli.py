@@ -33,22 +33,17 @@ from .errors import (
     SequenceTooShort,
 )
 from .masking import (
-    MaskSchedule,
     allowed_widths,
-    baseline_plan_mask,
     expected_mask_fraction,
     plan_mask,
     span_length_histogram,
 )
-from .model import (
-    ModelConfig,
-    init_model,
-    load_checkpoint,
-)
+from .model import init_model, load_checkpoint
 from .model.training import FinetuneConfig, finetune_classify
 from .pipeline import (
     attention_probe,
     build_windows,
+    model_config_from_run,
     policy_from_config,
     prepare_frames,
     pretrain_run,
@@ -157,15 +152,14 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
 
 def cmd_mask_stats(args: argparse.Namespace) -> int:
     run = _load_run_config(args)
-    total = args.total_steps or run.training.total_steps
-    schedule = MaskSchedule(
-        total_steps=total,
-        stage_fractions=run.masking.stage_fractions,
-        base_width=run.masking.base_width,
-        width_increment=run.masking.width_increment,
-    )
+    total = run.training.total_steps
+    schedule = schedule_from_config(run)
     p = run.masking.p
     step = args.step if args.step is not None else total
+    if step < 1:
+        raise ConfigInvalid(f"--step must be >= 1, got {step}")
+    if args.samples < 1:
+        raise ConfigInvalid(f"--samples must be >= 1, got {args.samples}")
     seq_len = args.seq_len
     widths = allowed_widths(step, schedule)
 
@@ -174,10 +168,7 @@ def cmd_mask_stats(args: argparse.Namespace) -> int:
     masked_total = 0
     for i in range(args.samples):
         rng = split(run.training.seed, STREAM_MASK, step, i)
-        if run.masking.mode == "randommask":
-            plan = plan_mask(seq_len, step, p, schedule, rng)
-        else:
-            plan = baseline_plan_mask(seq_len, p, run.tokenizer.k, rng, step=step)
+        plan = plan_mask(seq_len, step, p, schedule, rng)
         width_hist[plan.width_m] = width_hist.get(plan.width_m, 0) + 1
         for length, count in span_length_histogram(plan.as_bool()).items():
             span_hist[length] = span_hist.get(length, 0) + count
@@ -249,18 +240,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
                                        "fine-tuning from random initialization"}),
                 file=sys.stderr,
             )
-        params = init_model(
-            ModelConfig(
-                vocab_size=vocab.size,
-                num_layers=run.model.num_layers,
-                num_heads=run.model.num_heads,
-                hidden_dim=run.model.hidden_dim,
-                ff_dim=run.model.ff_dim,
-                max_len=run.model.max_len,
-                dtype=run.model.dtype,
-                seed=run.training.seed,
-            )
-        )
+        params = init_model(model_config_from_run(run, vocab))
 
     ft = FinetuneConfig(
         epochs=run.finetune.epochs,
@@ -296,6 +276,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 # --- analyze ----------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.probe_step is not None and args.probe_step < 1:
+        raise ConfigInvalid(f"--probe-step must be >= 1, got {args.probe_step}")
     try:
         ckpt = load_checkpoint(args.checkpoint)
     except OSError as exc:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from .errors import ConfigInvalid
-from .masking import DEFAULT_STAGE_FRACTIONS
+from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
 
 DEFAULT_MOTIFS = (("TATAATGCGC", 0.6), ("GGCCAATCAG", 0.6))
 
@@ -57,20 +57,13 @@ class TokenizerSection:
 
 
 @dataclass(frozen=True)
-class PolicySection:
-    p_mask: float = 0.8
-    p_random: float = 0.1
-    p_keep: float = 0.1
-
-
-@dataclass(frozen=True)
 class MaskingSection:
     p: float = 0.025
     mode: str = "randommask"             # randommask | baseline
     stage_fractions: tuple = DEFAULT_STAGE_FRACTIONS
     base_width: int = 6
     width_increment: int = 2
-    policy: PolicySection = field(default_factory=PolicySection)
+    policy: CorruptionPolicy = field(default_factory=CorruptionPolicy)
 
     def __post_init__(self) -> None:
         if self.mode not in ("randommask", "baseline"):
@@ -164,7 +157,7 @@ def _build_section(cls, obj: Any, path: str):
     kwargs = {}
     for name, value in obj.items():
         if name == "policy":
-            value = _build_section(PolicySection, value, f"{path}.policy")
+            value = _build_section(CorruptionPolicy, value, f"{path}.policy")
         elif name == "motifs":
             try:
                 value = tuple((m["pattern"], m["plant_probability"]) if isinstance(m, dict)

@@ -5,8 +5,8 @@ widths by 2 tokens, starting from a single width of 6.  At every step one
 width m is drawn uniformly from the current set, each position fires
 independently with probability P, and a fired position i masks the span
 [i - m/2 + 1, i + m/2] clipped to the sequence; the mask is the union over
-fired positions.  The fixed-width baseline pins the set to a single width
-at every step.
+fired positions.  The fixed-width baseline is the same planner under a
+one-stage schedule whose only width is the tokenizer's k.
 """
 
 from __future__ import annotations
@@ -155,25 +155,6 @@ def plan_mask(
         trigger_centers=centers,
         seq_len=seq_len,
     )
-
-
-def baseline_plan_mask(
-    seq_len: int,
-    p: float,
-    k: int,
-    rng: np.random.Generator,
-    exclude: np.ndarray | None = None,
-    step: int = 1,
-) -> MaskPlan:
-    """Fixed-width masking: :func:`plan_mask` under a one-stage schedule [k].
-
-    This reproduces the pre-curriculum behavior where every span has the
-    tokenizer's width, so masking k overlapping tokens hides one nucleotide.
-    """
-    degenerate = MaskSchedule(total_steps=1, stage_fractions=(1.0,), base_width=k)
-    plan = plan_mask(seq_len, 1, p, degenerate, rng, exclude)
-    plan.step = step
-    return plan
 
 
 @dataclass(frozen=True)

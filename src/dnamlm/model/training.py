@@ -12,7 +12,7 @@ from ..corpus import LabeledExample
 from ..errors import ConfigInvalid, EmptyDataset, NonFiniteLoss
 from ..rng import STREAM_INIT, STREAM_SHUFFLE, split
 from ..tokenizer import Strategy, Vocabulary, encode, wrap_for_model
-from .network import Batch, backward, forward
+from .network import Batch, _as_batch, _encode, backward
 from .optimizer import OptimizerState, adamw_step
 from .params import ModelParams, truncated_normal
 
@@ -93,11 +93,15 @@ def _resize_classifier_head(params: ModelParams, num_classes: int, seed: int) ->
 def predict_classes(
     params: ModelParams, ids: np.ndarray, real: np.ndarray, batch_size: int = 256
 ) -> np.ndarray:
-    """Argmax class predictions over the [CLS] vector, in input order."""
+    """Argmax class predictions over the [CLS] vector, in input order.
+
+    Runs the encoder only: no MLM logits or stacked attention maps.
+    """
     preds = []
     for start in range(0, ids.shape[0], batch_size):
-        trace = forward(params, ids[start : start + batch_size], real[start : start + batch_size])
-        logits = trace.pooled @ params["cls_w"] + params["cls_b"]
+        chunk = _as_batch(ids[start : start + batch_size], real[start : start + batch_size])
+        hidden, _layers = _encode(params, *chunk)
+        logits = hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]
         preds.append(logits.argmax(-1))
     return np.concatenate(preds)
 

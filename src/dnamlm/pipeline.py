@@ -4,11 +4,17 @@ Pure, seed-keyed batch assembly (tokenize, plan masks, corrupt) feeding a
 serial training loop.  Because every random choice is keyed by
 (seed, stream, step, slot), batch preparation can run on multiple workers
 and a resumed run regenerates exactly the batches of an uninterrupted one.
+
+``schedule_from_config`` is the only reader of ``masking.mode``: RandomMask
+gets its staged schedule, the fixed-width baseline a one-stage schedule of
+the tokenizer's width k.  Everything downstream (batches, probes, reports)
+sees only the schedule.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,7 +38,6 @@ from .masking import (
     MaskSchedule,
     allowed_widths,
     apply_corruption,
-    baseline_plan_mask,
     plan_mask,
 )
 from .model import (
@@ -62,17 +67,45 @@ CHECKPOINT_DIRNAME = "checkpoint"
 
 
 def schedule_from_config(run: RunConfig) -> MaskSchedule:
-    return MaskSchedule(
+    """The run's mask schedule: staged for RandomMask, one stage of width k for the baseline.
+
+    The stage table is validated in both modes, so a baseline config with a
+    bad table is rejected as a RandomMask one would be.
+    """
+    staged = MaskSchedule(
         total_steps=run.training.total_steps,
         stage_fractions=run.masking.stage_fractions,
         base_width=run.masking.base_width,
         width_increment=run.masking.width_increment,
     )
+    if run.masking.mode == "baseline":
+        return MaskSchedule(
+            total_steps=run.training.total_steps,
+            stage_fractions=(1.0,),
+            base_width=run.tokenizer.k,
+        )
+    return staged
 
 
 def policy_from_config(run: RunConfig) -> CorruptionPolicy:
-    pol = run.masking.policy
-    return CorruptionPolicy(p_mask=pol.p_mask, p_random=pol.p_random, p_keep=pol.p_keep)
+    return run.masking.policy
+
+
+def model_config_from_run(run: RunConfig, vocab: Vocabulary) -> ModelConfig:
+    """Encoder shape for a fresh initialisation from the model section."""
+    m = run.model
+    return ModelConfig(
+        vocab_size=vocab.size,
+        num_layers=m.num_layers,
+        num_heads=m.num_heads,
+        hidden_dim=m.hidden_dim,
+        ff_dim=m.ff_dim,
+        max_len=m.max_len,
+        dropout_rate=m.dropout_rate,
+        tie_embeddings=m.tie_embeddings,
+        dtype=m.dtype,
+        seed=run.training.seed,
+    )
 
 
 def build_windows(run: RunConfig) -> list[DnaSequence]:
@@ -131,26 +164,36 @@ def _frame_exclusion(ids: np.ndarray) -> np.ndarray:
     return np.isin(ids, (PAD_ID, CLS_ID, SEP_ID))
 
 
-def _plan_for_slot(
-    frame_ids: np.ndarray,
+def _corrupt_rows(
+    frames_ids: np.ndarray,
+    chosen: np.ndarray,
     step: int,
-    slot: int,
-    seed: int,
     p: float,
-    mode: str,
     schedule: MaskSchedule,
-    baseline_width: int,
     policy: CorruptionPolicy,
     vocab: Vocabulary,
-) -> tuple[np.ndarray, np.ndarray, MaskPlan]:
-    rng = split(seed, STREAM_MASK, step, slot)
-    exclude = _frame_exclusion(frame_ids)
-    if mode == "randommask":
-        plan = plan_mask(frame_ids.shape[0], step, p, schedule, rng, exclude)
+    slot_rng: Callable[[int], np.random.Generator],
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray, list[MaskPlan]]:
+    """Plan and corrupt one frame per slot, drawing from ``slot_rng(slot)``."""
+
+    def prep(slot_and_index):
+        slot, widx = slot_and_index
+        frame = frames_ids[widx]
+        rng = slot_rng(slot)
+        plan = plan_mask(frame.shape[0], step, p, schedule, rng, _frame_exclusion(frame))
+        corrupted, labels = apply_corruption(frame, plan, policy, vocab, rng)
+        return corrupted, labels, plan
+
+    items = list(enumerate(chosen))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(prep, items))
     else:
-        plan = baseline_plan_mask(frame_ids.shape[0], p, baseline_width, rng, exclude, step)
-    corrupted, labels = apply_corruption(frame_ids, plan, policy, vocab, rng)
-    return corrupted, labels, plan
+        results = [prep(it) for it in items]
+    ids = np.stack([r[0] for r in results])
+    labels = np.stack([r[1] for r in results])
+    return ids, labels, [r[2] for r in results]
 
 
 def assemble_batch(
@@ -166,26 +209,11 @@ def assemble_batch(
     tr = run.training
     picker = split(tr.seed, STREAM_BATCH, step)
     chosen = picker.integers(0, frames_ids.shape[0], size=tr.batch_size)
-
-    def prep(slot_and_index):
-        slot, widx = slot_and_index
-        return _plan_for_slot(
-            frames_ids[widx], step, slot, tr.seed, run.masking.p, run.masking.mode,
-            schedule, run.tokenizer.k, policy, vocab,
-        )
-
-    items = list(enumerate(chosen))
-    if tr.workers > 1:
-        with ThreadPoolExecutor(max_workers=tr.workers) as pool:
-            results = list(pool.map(prep, items))
-    else:
-        results = [prep(it) for it in items]
-
-    ids = np.stack([r[0] for r in results])
-    labels = np.stack([r[1] for r in results])
-    plans = [r[2] for r in results]
-    real = frames_real[chosen]
-    return Batch(ids=ids, padding_mask=real, labels=labels), plans
+    ids, labels, plans = _corrupt_rows(
+        frames_ids, chosen, step, run.masking.p, schedule, policy, vocab,
+        lambda slot: split(tr.seed, STREAM_MASK, step, slot), tr.workers,
+    )
+    return Batch(ids=ids, padding_mask=frames_real[chosen], labels=labels), plans
 
 
 def attention_probe(
@@ -205,25 +233,13 @@ def attention_probe(
     query positions per the under-training analysis.
     """
     frames_ids, frames_real = frames
-    picker = split(run.training.seed, STREAM_PROBE, 0)
-    chosen = picker.integers(0, frames_ids.shape[0], size=num_sequences)
-    rows, labels_rows = [], []
-    for slot, widx in enumerate(chosen):
-        rng = split(run.training.seed, STREAM_PROBE, 1 + slot)
-        frame = frames_ids[widx]
-        exclude = _frame_exclusion(frame)
-        if run.masking.mode == "randommask":
-            plan = plan_mask(frame.shape[0], step, run.masking.p, schedule, rng, exclude)
-        else:
-            plan = baseline_plan_mask(frame.shape[0], run.masking.p, run.tokenizer.k,
-                                      rng, exclude, step)
-        corrupted, labels = apply_corruption(frame, plan, policy, vocab, rng)
-        rows.append(corrupted)
-        labels_rows.append(labels)
-    ids = np.stack(rows)
-    labels = np.stack(labels_rows)
-    real = frames_real[chosen]
-    trace = forward(params, ids, real)
+    seed = run.training.seed
+    chosen = split(seed, STREAM_PROBE, 0).integers(0, frames_ids.shape[0], size=num_sequences)
+    ids, labels, _plans = _corrupt_rows(
+        frames_ids, chosen, step, run.masking.p, schedule, policy, vocab,
+        lambda slot: split(seed, STREAM_PROBE, 1 + slot),
+    )
+    trace = forward(params, ids, frames_real[chosen])
     masked = labels != IGNORE_LABEL
     return {
         "cls_mass": [float(v) for v in attention_cls_mass(trace, masked)],
@@ -295,19 +311,7 @@ def pretrain_run(
                 f"checkpoint already at step {start_step} >= end step {end_step}"
             )
     else:
-        model_cfg = ModelConfig(
-            vocab_size=vocab.size,
-            num_layers=run.model.num_layers,
-            num_heads=run.model.num_heads,
-            hidden_dim=run.model.hidden_dim,
-            ff_dim=run.model.ff_dim,
-            max_len=run.model.max_len,
-            dropout_rate=run.model.dropout_rate,
-            tie_embeddings=run.model.tie_embeddings,
-            dtype=run.model.dtype,
-            seed=run.training.seed,
-        )
-        params = init_model(model_cfg)
+        params = init_model(model_config_from_run(run, vocab))
         opt = init_optimizer(
             params, lr=run.training.lr, weight_decay=run.training.weight_decay
         )

@@ -350,7 +350,6 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
     """
     from dnamlm.model import forward
     from dnamlm.pipeline import build_windows, prepare_frames
-    from dnamlm.masking import baseline_plan_mask
     from dnamlm.rng import STREAM_PROBE
     from dnamlm.tokenizer import Strategy
 
@@ -359,6 +358,7 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
     frames_ids, frames_real = prepare_frames(
         build_windows(run), vocab, Strategy(run.tokenizer.strategy), run.model.max_len
     )
+    width6 = schedule_from_config(_desk_config("baseline"))
     picker = split(DESK_SEED, STREAM_PROBE, 1000)
     chosen = picker.integers(0, frames_ids.shape[0], size=num_sequences)
     rows, label_rows = [], []
@@ -367,7 +367,7 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
         rng = split(DESK_SEED, STREAM_PROBE, 2000 + slot)
         frame = frames_ids[widx]
         exclude = np.isin(frame, (PAD_ID, CLS_ID, SEP_ID))
-        plan = baseline_plan_mask(frame.shape[0], run.masking.p, 6, rng, exclude)
+        plan = plan_mask(frame.shape[0], 1, run.masking.p, width6, rng, exclude)
         corrupted, labels = apply_corruption(frame, plan, policy, vocab, rng)
         rows.append(corrupted)
         label_rows.append(labels)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,14 @@ class TestRunConfig:
             run_config_from_dict({"masking": {"mode": "sometimes"}})
         with pytest.raises(ConfigInvalid):
             run_config_from_dict({"tokenizer": {"strategy": "bpe"}})
+
+    def test_policy_checked_on_load(self):
+        with pytest.raises(ConfigInvalid):
+            run_config_from_dict(
+                {"masking": {"policy": {"p_mask": 0.9, "p_random": 0.2, "p_keep": 0.1}}}
+            )
+        with pytest.raises(ConfigInvalid):
+            run_config_from_dict({"masking": {"policy": {"p_mask": "most"}}})
 
     def test_override(self):
         run = RunConfig().override("training", seed=4, total_steps=55)
@@ -137,6 +146,36 @@ class TestCliMaskStats:
         assert main(args + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_baseline_reports_its_own_width(self, tmp_path):
+        out = str(tmp_path / "bl.json")
+        n = 2000
+        rc = main(["mask-stats", "--masking-mode", "baseline", "--step", "1000",
+                   "--total-steps", "1000", "--samples", str(n), "--seq-len", "128",
+                   "--out", out])
+        assert rc == 0
+        obj = json.loads(open(out).read())
+        assert obj["mode"] == "baseline"
+        assert obj["widths"] == [6]
+        assert obj["width_histogram"] == {"6": n}
+        assert list(obj["expected_interior_by_width"]) == ["6"]
+        # a per-sequence fraction in [0, 1] with mean f has variance <= f(1-f)
+        f = obj["empirical_fraction"]
+        se = math.sqrt(f * (1.0 - f) / n)
+        assert abs(obj["expected_fraction"] - f) <= 5 * se
+
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--step", "0"],
+        ["--step", "-2"],
+    ])
+    def test_bad_flag_is_usage_error(self, flags, capsys):
+        rc = main(["mask-stats", "--total-steps", "100", "--seq-len", "32"] + flags)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid"
+        assert flags[0] in err["message"]
+
 
 SMALL_RUN = {
     "corpus": {"num_sequences": 24, "sequence_length": 32, "window_length": 32},
@@ -221,6 +260,21 @@ class TestCliPretrainAnalyze:
         # k=6 in this config, so the embedding metric is present
         assert -1.0 <= obj["silhouette"] <= 1.0
 
+    def test_analyze_probe_step_zero_is_usage_error(self, tmp_path, capsys):
+        from dnamlm.model import ModelConfig, init_model, save_checkpoint
+
+        params = init_model(ModelConfig(
+            vocab_size=4101, num_layers=1, hidden_dim=16, num_heads=4,
+            ff_dim=32, max_len=29, seed=3,
+        ))
+        ckpt = str(tmp_path / "fresh")
+        save_checkpoint(ckpt, params, step=0,
+                        run_config=run_config_from_dict(SMALL_RUN).to_dict())
+        assert main(["analyze", "--checkpoint", ckpt, "--probe-step", "0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid"
+        assert "--probe-step" in err["message"]
+
     def test_analyze_missing_checkpoint_usage_error(self, capsys):
         assert main(["analyze", "--checkpoint", "/no/such/dir"]) == 2
 
@@ -275,6 +329,21 @@ class TestCliFinetune:
         assert len(csv_lines) == 3
         metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
         assert metrics["num_classes"] == 2
+
+    def test_finetune_random_init_rejects_dropout(self, labeled_csv, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "tokenizer": {"k": 3},
+            "model": {"num_layers": 1, "hidden_dim": 16, "ff_dim": 32, "max_len": 24,
+                      "dropout_rate": 0.1},
+            "finetune": {"epochs": 1, "batch_size": 16},
+        }), encoding="utf-8")
+        rc = main(["finetune", "--config", str(cfgp), "--data", labeled_csv,
+                   "--out", str(tmp_path / "ft")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid"
+        assert "dropout_rate" in err["message"]
 
     def test_finetune_from_checkpoint(self, labeled_csv, small_config, tmp_path, capsys):
         out_pre = str(tmp_path / "pre")

@@ -11,7 +11,6 @@ from dnamlm.masking import (
     REFERENCE_SCHEDULE,
     allowed_widths,
     apply_corruption,
-    baseline_plan_mask,
     expected_mask_fraction,
     interior_positions,
     plan_mask,
@@ -159,25 +158,32 @@ class TestPlanMask:
         assert chi2 < 25  # chi-square(4) 99.99th percentile ~ 23.5
 
 
+def one_stage(k=6, total_steps=1):
+    """The fixed-width baseline's schedule: one stage whose only width is k."""
+    return MaskSchedule(total_steps=total_steps, stage_fractions=(1.0,), base_width=k)
+
+
 class TestBaseline:
     def test_hand_trace(self):
-        plan = baseline_plan_mask(20, 0.5, 6, ForcedRng({10}))
+        plan = plan_mask(20, 1, 0.5, one_stage(), ForcedRng({10}))
         assert plan.mask_ids.tolist() == [8, 9, 10, 11, 12, 13]
 
     def test_p_zero(self):
-        assert baseline_plan_mask(64, 0.0, 6, split(1, 5)).mask_ids.size == 0
+        assert plan_mask(64, 1, 0.0, one_stage(), split(1, 5)).mask_ids.size == 0
 
     def test_equivalence_with_degenerate_schedule(self):
+        # a run-length one-stage schedule draws, at any step, what the
+        # one-step schedule draws at step 1
         degenerate = MaskSchedule(total_steps=1000, stage_fractions=(1.0,))
         for i in range(50):
-            a = baseline_plan_mask(48, 0.1, 6, split(2, 7, i))
-            b = plan_mask(48, 1, 0.1, degenerate, split(2, 7, i))
+            a = plan_mask(48, 1, 0.1, one_stage(), split(2, 7, i))
+            b = plan_mask(48, 1 + 37 * i, 0.1, degenerate, split(2, 7, i))
             assert a.mask_ids.tolist() == b.mask_ids.tolist()
             assert a.width_m == b.width_m == 6
 
     def test_odd_width_rejected(self):
         with pytest.raises(ConfigInvalid):
-            baseline_plan_mask(20, 0.1, 5, split(0, 0))
+            plan_mask(20, 1, 0.1, one_stage(5), split(0, 0))
 
 
 class TestExpectedMaskFraction:

@@ -3,11 +3,12 @@ import pytest
 
 from dnamlm.config import run_config_from_dict
 from dnamlm.errors import ConfigInvalid
-from dnamlm.masking import IGNORE_LABEL
+from dnamlm.masking import IGNORE_LABEL, allowed_widths
 from dnamlm.pipeline import (
     assemble_batch,
     attention_probe,
     build_windows,
+    model_config_from_run,
     policy_from_config,
     prepare_frames,
     pretrain_run,
@@ -145,3 +146,51 @@ def test_fasta_corpus_source(tmp_path):
     assert len(windows) == 5
     res = pretrain_run(run, str(tmp_path / "out"))
     assert len(res.report.records) == 18
+
+
+def baseline_run(k=6, total_steps=20, **masking):
+    return run_config_from_dict({
+        "corpus": {"num_sequences": 16, "sequence_length": 48, "window_length": 48},
+        "tokenizer": {"k": k},
+        "masking": {"mode": "baseline", **masking},
+        "model": {"num_layers": 1, "hidden_dim": 16, "ff_dim": 32, "max_len": 45},
+        "training": {"total_steps": total_steps, "batch_size": 4, "seed": 3},
+    })
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_baseline_schedule_is_one_stage_of_width_k(k):
+    sched = schedule_from_config(baseline_run(k=k, total_steps=20))
+    assert sched.boundaries() == [20]
+    for step in (1, 20, 21):
+        assert sched.stage_of(step) == 0
+        assert allowed_widths(step, sched) == [k]
+
+
+def test_baseline_rejects_odd_k_and_bad_stage_table():
+    with pytest.raises(ConfigInvalid):
+        schedule_from_config(baseline_run(k=5))
+    with pytest.raises(ConfigInvalid):
+        schedule_from_config(baseline_run(stage_fractions=[0.5, 0.3, 1.0]))
+    with pytest.raises(ConfigInvalid):
+        schedule_from_config(baseline_run(base_width=5))
+
+
+def test_baseline_report_lists_only_width_k(tmp_path):
+    res = pretrain_run(baseline_run(total_steps=20), str(tmp_path / "bl"))
+    assert res.report.stage_boundaries == [20]
+    assert [r.step for r in res.report.records] == list(range(1, 21))
+    assert all(r.stage == 0 and r.widths == [6] for r in res.report.records)
+
+
+def test_model_config_from_run_keeps_every_model_key():
+    run = run_config_from_dict({
+        "model": {"num_layers": 1, "hidden_dim": 16, "ff_dim": 32, "max_len": 45,
+                  "tie_embeddings": True, "dropout_rate": 0.1, "dtype": "float64"},
+        "training": {"seed": 11},
+    })
+    cfg = model_config_from_run(run, build_vocab(6))
+    assert cfg.vocab_size == 4101
+    assert (cfg.num_layers, cfg.hidden_dim, cfg.ff_dim, cfg.max_len) == (1, 16, 32, 45)
+    assert cfg.tie_embeddings and cfg.dropout_rate == 0.1
+    assert cfg.dtype == "float64" and cfg.seed == 11

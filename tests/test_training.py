@@ -9,13 +9,14 @@ from dnamlm.model import (
     ModelConfig,
     OptimizerState,
     adamw_step,
+    forward,
     init_model,
     init_optimizer,
     load_checkpoint,
     save_checkpoint,
     train_step,
 )
-from dnamlm.model.training import FinetuneConfig, finetune_classify
+from dnamlm.model.training import FinetuneConfig, finetune_classify, predict_classes
 from dnamlm.tokenizer import build_vocab
 
 
@@ -239,3 +240,33 @@ class TestFinetune:
         _, _ = finetune_classify(params, data, 3, vocab, FinetuneConfig(epochs=1))
         assert params.config.num_classes == 3
         assert params["cls_w"].shape == (8, 3)
+
+
+class TestPredictClasses:
+    def test_matches_full_forward_on_padded_mixed_lengths(self):
+        cfg = tiny_config(num_classes=3, dtype="float32", seed=4)
+        params = init_model(cfg)
+        rng = np.random.default_rng(8)
+        lengths = [16, 3, 9, 12, 5, 1, 16, 7]
+        ids = np.zeros((len(lengths), 16), dtype=np.int64)
+        real = np.zeros((len(lengths), 16), dtype=bool)
+        for row, n in enumerate(lengths):
+            ids[row, :n] = rng.integers(5, cfg.vocab_size, size=n)
+            real[row, :n] = True
+        trace = forward(params, ids, real)
+        want = (trace.pooled @ params["cls_w"] + params["cls_b"]).argmax(-1)
+        for batch_size in (256, 3, 1):
+            got = predict_classes(params, ids, real, batch_size=batch_size)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert len(set(want.tolist())) > 1  # the check compares distinct classes
+
+    def test_input_checks_kept(self):
+        params = init_model(tiny_config())
+        ids = np.full((2, 4), 5, dtype=np.int64)
+        with pytest.raises(ConfigInvalid):
+            predict_classes(params, ids, np.zeros((2, 4), dtype=bool))
+        with pytest.raises(ConfigInvalid):
+            predict_classes(params, ids, np.ones((2, 5), dtype=bool))
+        with pytest.raises(ConfigInvalid):
+            predict_classes(params, np.full((2, 4), 99, dtype=np.int64), np.ones((2, 4), bool))
