@@ -83,6 +83,49 @@ def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, cache):
     return dx, dg, db
 
 
+# Longest shared axis that _contract hands to BLAS in one product.
+_BLOCK = 448
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D arrays, summed over the shared axis in a fixed order.
+
+    BLAS splits a long shared axis into blocks, and where it splits depends
+    on how many threads it runs, so a plain ``a @ b`` can change in the last
+    bits with the thread count.  Here an axis longer than ``_BLOCK`` is cut
+    into blocks of ``_BLOCK``, a tail longer than one block is halved (first
+    half rounded up), and the block products are added in order; the result
+    is the same for every BLAS thread count.  448 and the halving are
+    OpenBLAS's float32 rule on two threads on AVX-512 machines, where the
+    values therefore equal a plain two-thread product.
+    """
+    k = a.shape[1]
+    bounds = [0]
+    while k - bounds[-1] > _BLOCK:
+        rest = k - bounds[-1]
+        bounds.append(bounds[-1] + (_BLOCK if rest >= 2 * _BLOCK else (rest + 1) // 2))
+    bounds.append(k)
+    out = a[:, : bounds[1]] @ b[: bounds[1]]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        out += a[:, lo:hi] @ b[lo:hi]
+    return out
+
+
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of ``x @ w`` with respect to w: x^T dy over batch and positions."""
+    return _contract(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]))
+
+
+def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for x of shape (..., d), as one 2-D product.
+
+    numpy computes a stacked matmul against a transposed weight
+    (``x @ w.T``) an order of magnitude slower than the same product on the
+    flattened leading axes.
+    """
+    return _contract(x.reshape(-1, x.shape[-1]), w).reshape(x.shape[:-1] + (w.shape[-1],))
+
+
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     b, l, d = x.shape
     return x.reshape(b, l, num_heads, d // num_heads).transpose(0, 2, 1, 3)
@@ -133,9 +176,9 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
     for i in range(cfg.num_layers):
         p = f"layer{i}."
         xin = x
-        qh = _split_heads(xin @ params[p + "wq"], cfg.num_heads)
-        kh = _split_heads(xin @ params[p + "wk"], cfg.num_heads)
-        vh = _split_heads(xin @ params[p + "wv"], cfg.num_heads)
+        qh = _split_heads(_mm(xin, params[p + "wq"]), cfg.num_heads)
+        kh = _split_heads(_mm(xin, params[p + "wk"]), cfg.num_heads)
+        vh = _split_heads(_mm(xin, params[p + "wv"]), cfg.num_heads)
         attn = qh @ kh.swapaxes(-1, -2)
         attn *= scale
         if any_padding:
@@ -144,17 +187,17 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
         np.exp(attn, out=attn)  # exp(-inf) == 0 exactly on padded keys
         attn /= attn.sum(-1, keepdims=True)
         ctx = _merge_heads(attn @ vh)
-        r1 = ctx @ params[p + "wo"]
+        r1 = _mm(ctx, params[p + "wo"])
         r1 += xin
         x1, ln1_cache = _layer_norm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
-        z1 = x1 @ params[p + "w1"]
+        z1 = _mm(x1, params[p + "w1"])
         z1 += params[p + "b1"]
         e1 = z1 * _SQRT1_2
         erf(e1, out=e1)  # cached so backward skips a second erf
         a1 = e1 + 1.0
         a1 *= z1
         a1 *= 0.5
-        r2 = a1 @ params[p + "w2"]
+        r2 = _mm(a1, params[p + "w2"])
         r2 += params[p + "b2"]
         r2 += x1
         x, ln2_cache = _layer_norm(r2, params[p + "ln2_g"], params[p + "ln2_b"])
@@ -178,8 +221,8 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
             dx, params[p + "ln2_g"], c["ln2"]
         )
         # r2 = x1 + gelu(x1 w1 + b1) w2 + b2
-        da1 = dr2 @ params[p + "w2"].T
-        grads[p + "w2"] = np.tensordot(c["a1"], dr2, axes=([0, 1], [0, 1]))
+        da1 = _mm(dr2, params[p + "w2"].T)
+        grads[p + "w2"] = _weight_grad(c["a1"], dr2)
         grads[p + "b2"] = dr2.sum((0, 1))
         z1 = c["z1"]
         dgelu = z1 * z1
@@ -191,16 +234,16 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
         half_one_plus_e1 *= 0.5
         dgelu += half_one_plus_e1
         dz1 = da1 * dgelu
-        grads[p + "w1"] = np.tensordot(c["x1"], dz1, axes=([0, 1], [0, 1]))
+        grads[p + "w1"] = _weight_grad(c["x1"], dz1)
         grads[p + "b1"] = dz1.sum((0, 1))
-        dx1 = dz1 @ params[p + "w1"].T
+        dx1 = _mm(dz1, params[p + "w1"].T)
         dx1 += dr2
         dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward(
             dx1, params[p + "ln1_g"], c["ln1"]
         )
         # r1 = xin + merge(attn @ vh) wo
-        dctx = dr1 @ params[p + "wo"].T
-        grads[p + "wo"] = np.tensordot(c["ctx"], dr1, axes=([0, 1], [0, 1]))
+        dctx = _mm(dr1, params[p + "wo"].T)
+        grads[p + "wo"] = _weight_grad(c["ctx"], dr1)
         dctxh = _split_heads(dctx, cfg.num_heads)
         dattn = dctxh @ c["vh"].swapaxes(-1, -2)
         dvh = c["attn"].swapaxes(-1, -2) @ dctxh
@@ -213,12 +256,12 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
         dkh = (dscores.swapaxes(-1, -2) @ c["qh"]) * scale
         dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
         xin = c["xin"]
-        grads[p + "wq"] = np.tensordot(xin, dq, axes=([0, 1], [0, 1]))
-        grads[p + "wk"] = np.tensordot(xin, dk, axes=([0, 1], [0, 1]))
-        grads[p + "wv"] = np.tensordot(xin, dv, axes=([0, 1], [0, 1]))
-        dx = dq @ params[p + "wq"].T
-        dx += dk @ params[p + "wk"].T
-        dx += dv @ params[p + "wv"].T
+        grads[p + "wq"] = _weight_grad(xin, dq)
+        grads[p + "wk"] = _weight_grad(xin, dk)
+        grads[p + "wv"] = _weight_grad(xin, dv)
+        dx = _mm(dq, params[p + "wq"].T)
+        dx += _mm(dk, params[p + "wk"].T)
+        dx += _mm(dv, params[p + "wv"].T)
         dx += dr1
     # embeddings
     l = ids.shape[1]
@@ -242,7 +285,7 @@ def forward(
     """
     ids, real = _as_batch(ids, padding_mask)
     hidden, layers = _encode(params, ids, real)
-    logits = hidden @ params.output_weight() + params["mlm_b"]
+    logits = _mm(hidden, params.output_weight()) + params["mlm_b"]
     attentions = np.stack([c["attn"] for c in layers])
     return ForwardTrace(
         logits=logits,
@@ -290,7 +333,7 @@ def _mlm_head_backward(params: ModelParams, hidden: np.ndarray, labels: np.ndarr
         return 0.0, np.zeros_like(hidden)
     rows = hidden[keep]
     targets = np.asarray(labels[keep], dtype=np.int64)
-    logits = rows @ w
+    logits = _contract(rows, w)
     logits += params["mlm_b"]
     logits -= logits.max(-1, keepdims=True)
     picked = logits[np.arange(n), targets].copy()
@@ -303,11 +346,11 @@ def _mlm_head_backward(params: ModelParams, hidden: np.ndarray, labels: np.ndarr
     dlogits /= n
     grads["mlm_b"] = dlogits.sum(0)
     if params.config.tie_embeddings:
-        grads["tok_emb"] = dlogits.T @ rows
+        grads["tok_emb"] = _contract(dlogits.T, rows)
     else:
-        grads["mlm_w"] = rows.T @ dlogits
+        grads["mlm_w"] = _contract(rows.T, dlogits)
     dhidden = np.zeros_like(hidden)
-    dhidden[keep] = dlogits @ w.T
+    dhidden[keep] = _contract(dlogits, w.T)
     return loss, dhidden
 
 
@@ -327,7 +370,7 @@ def _classifier_backward(params: ModelParams, hidden: np.ndarray, y: np.ndarray,
     dlogits = np.exp(logp)
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
-    grads["cls_w"] = pooled.T @ dlogits
+    grads["cls_w"] = _contract(pooled.T, dlogits)
     grads["cls_b"] = dlogits.sum(0)
     dhidden = np.zeros_like(hidden)
     dhidden[:, 0, :] = dlogits @ params["cls_w"].T

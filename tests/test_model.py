@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from dnamlm.model import (
     param_count,
     param_shapes,
 )
+from dnamlm.model.network import _contract
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -302,3 +307,46 @@ class TestBackward:
         loss, _ = backward(params, batch)
         trace = forward(params, batch.ids, batch.padding_mask)
         assert loss == pytest.approx(mlm_loss(trace, batch.labels), rel=1e-12)
+
+
+# Gradients of a desk-sized float32 batch: the weight gradients sum over
+# 12 x 45 = 540 positions and the MLM head over the 4101-token vocabulary,
+# both long enough for BLAS to split the sum differently by thread count.
+_GRADIENT_DIGEST = """
+import hashlib
+import numpy as np
+from dnamlm.masking import IGNORE_LABEL
+from dnamlm.model import Batch, ModelConfig, backward, init_model
+cfg = ModelConfig(vocab_size=4101, num_layers=1, max_len=45, seed=3)
+rng = np.random.default_rng(0)
+ids = rng.integers(5, 4101, size=(12, 45))
+labels = np.where(rng.random((12, 45)) < 0.5, ids, IGNORE_LABEL)
+_, grads = backward(init_model(cfg), Batch(ids, np.ones((12, 45), bool), labels))
+digest = hashlib.sha256()
+for name in sorted(grads):
+    digest.update(grads[name].tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestContract:
+    @pytest.mark.parametrize("k", [1, 448, 449, 700, 896, 897, 2048])
+    def test_matches_float64_product(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((5, k)).astype(np.float32)
+        b = rng.standard_normal((k, 7)).astype(np.float32)
+        got = _contract(a, b)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, a.astype(np.float64) @ b.astype(np.float64), atol=1e-5 * k)
+
+    def test_gradients_independent_of_blas_threads(self):
+        digests = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _GRADIENT_DIGEST],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
