@@ -14,11 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .analysis import embedding_silhouette
 from .config import RunConfig, run_config_from_dict
 from .corpus import load_labeled, parse_fasta
 from .errors import (
@@ -41,12 +41,12 @@ from .masking import (
 from .model import init_model, load_checkpoint
 from .model.training import FinetuneConfig, finetune_classify
 from .pipeline import (
-    attention_probe,
     build_windows,
     model_config_from_run,
     policy_from_config,
     prepare_frames,
     pretrain_run,
+    run_diagnostics,
     schedule_from_config,
 )
 from .rng import STREAM_MASK, split
@@ -105,7 +105,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             "batch_size": "batch_size",
             "lr": "lr",
             "seed": "seed",
-            "workers": "workers",
         },
         "finetune": {
             "epochs": "epochs",
@@ -242,14 +241,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
             )
         params = init_model(model_config_from_run(run, vocab))
 
-    ft = FinetuneConfig(
-        epochs=run.finetune.epochs,
-        lr=run.finetune.lr,
-        batch_size=run.finetune.batch_size,
-        weight_decay=run.finetune.weight_decay,
-        freeze_backbone=run.finetune.freeze_backbone,
-        seed=run.training.seed,
-    )
+    ft = FinetuneConfig(seed=run.training.seed, **asdict(run.finetune))
     params, metrics = finetune_classify(
         params, examples, num_classes, vocab, ft, Strategy(run.tokenizer.strategy)
     )
@@ -294,12 +286,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         build_windows(run), vocab, Strategy(run.tokenizer.strategy), run.model.max_len
     )
     probe_step = args.probe_step if args.probe_step is not None else max(1, ckpt.step)
-    attention = attention_probe(
+    attention, silhouette = run_diagnostics(
         ckpt.params, run, schedule, policy, vocab, frames, probe_step
     )
-    silhouette = None
-    if run.tokenizer.k == 6:
-        silhouette = embedding_silhouette(ckpt.params["tok_emb"][vocab.first_kmer_id:])
     payload = {
         "checkpoint_step": ckpt.step,
         "num_layers": ckpt.params.config.num_layers,
@@ -335,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--total-steps", type=int)
         p.add_argument("--batch-size", type=int)
         p.add_argument("--lr", type=float)
-        p.add_argument("--workers", type=int)
         if finetune:
             p.add_argument("--epochs", type=int)
             p.add_argument("--finetune-lr", type=float)

@@ -92,13 +92,10 @@ class TrainingSection:
     lr: float = 1e-3
     weight_decay: float = 0.01
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.total_steps < 1 or self.batch_size < 1:
             raise ConfigInvalid("training.total_steps and batch_size must be >= 1")
-        if self.workers < 1:
-            raise ConfigInvalid("training.workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,20 @@ def _build_section(cls, obj: Any, path: str):
 
 
 def run_config_from_dict(obj: dict) -> RunConfig:
-    """Validate a parsed JSON object into a RunConfig, rejecting unknown keys."""
+    """Validate a parsed JSON object into a RunConfig, rejecting unknown keys.
+
+    The one exception is the training section's retired thread-count key,
+    which is accepted and dropped whatever its value, so configs, reports
+    and checkpoints written before its removal still load.
+    """
     if not isinstance(obj, dict):
         raise ConfigInvalid("run config must be a JSON object")
     unknown = set(obj) - set(_SECTIONS)
     if unknown:
         raise ConfigInvalid(f"unknown config section(s) {sorted(unknown)}")
+    training = obj.get("training")
+    if isinstance(training, dict):
+        obj = {**obj, "training": {k: v for k, v in training.items() if k != "workers"}}
     sections = {
         name: _build_section(cls, obj.get(name, {}), name)
         for name, cls in _SECTIONS.items()

@@ -13,7 +13,7 @@ from ..errors import ConfigInvalid, EmptyDataset, NonFiniteLoss
 from ..rng import STREAM_INIT, STREAM_SHUFFLE, split
 from ..tokenizer import Strategy, Vocabulary, encode, wrap_for_model
 from .network import Batch, _as_batch, _encode, backward
-from .optimizer import OptimizerState, adamw_step
+from .optimizer import OptimizerState, adamw_step, init_optimizer
 from .params import ModelParams, truncated_normal
 
 CLASSIFIER_PARAMS = {"cls_w", "cls_b"}
@@ -134,13 +134,12 @@ def finetune_classify(
     ids, real, labels = prepare_classification_frames(
         examples, vocab, params.config.max_len, strategy
     )
-    opt = OptimizerState(
+    opt = init_optimizer(
+        params,
         lr=config.lr,
         beta1=config.beta1,
         beta2=config.beta2,
         weight_decay=config.weight_decay,
-        m={k: np.zeros_like(a) for k, a in params.arrays.items()},
-        v={k: np.zeros_like(a) for k, a in params.arrays.items()},
     )
     only = CLASSIFIER_PARAMS if config.freeze_backbone else None
 

@@ -1,9 +1,9 @@
 """End-to-end pre-training pipeline.
 
 Pure, seed-keyed batch assembly (tokenize, plan masks, corrupt) feeding a
-serial training loop.  Because every random choice is keyed by
-(seed, stream, step, slot), batch preparation can run on multiple workers
-and a resumed run regenerates exactly the batches of an uninterrupted one.
+serial training loop.  Every batch item draws from its own generator, keyed
+by (seed, stream, step, slot), so a resumed run regenerates exactly the
+batches of an uninterrupted one.
 
 ``schedule_from_config`` is the only reader of ``masking.mode``: RandomMask
 gets its staged schedule, the fixed-width baseline a one-stage schedule of
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .analysis import (
     embedding_silhouette,
     emit_report,
 )
-from .config import RunConfig
+from .config import RunConfig, run_config_from_dict
 from .corpus import DnaSequence, SyntheticCorpusConfig, generate_synthetic, parse_fasta, sample_windows
 from .errors import ConfigInvalid
 from .masking import (
@@ -93,19 +92,7 @@ def policy_from_config(run: RunConfig) -> CorruptionPolicy:
 
 def model_config_from_run(run: RunConfig, vocab: Vocabulary) -> ModelConfig:
     """Encoder shape for a fresh initialisation from the model section."""
-    m = run.model
-    return ModelConfig(
-        vocab_size=vocab.size,
-        num_layers=m.num_layers,
-        num_heads=m.num_heads,
-        hidden_dim=m.hidden_dim,
-        ff_dim=m.ff_dim,
-        max_len=m.max_len,
-        dropout_rate=m.dropout_rate,
-        tie_embeddings=m.tie_embeddings,
-        dtype=m.dtype,
-        seed=run.training.seed,
-    )
+    return ModelConfig(vocab_size=vocab.size, seed=run.training.seed, **asdict(run.model))
 
 
 def build_windows(run: RunConfig) -> list[DnaSequence]:
@@ -173,27 +160,18 @@ def _corrupt_rows(
     policy: CorruptionPolicy,
     vocab: Vocabulary,
     slot_rng: Callable[[int], np.random.Generator],
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, list[MaskPlan]]:
     """Plan and corrupt one frame per slot, drawing from ``slot_rng(slot)``."""
-
-    def prep(slot_and_index):
-        slot, widx = slot_and_index
+    ids_rows, label_rows, plans = [], [], []
+    for slot, widx in enumerate(chosen):
         frame = frames_ids[widx]
         rng = slot_rng(slot)
         plan = plan_mask(frame.shape[0], step, p, schedule, rng, _frame_exclusion(frame))
         corrupted, labels = apply_corruption(frame, plan, policy, vocab, rng)
-        return corrupted, labels, plan
-
-    items = list(enumerate(chosen))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(prep, items))
-    else:
-        results = [prep(it) for it in items]
-    ids = np.stack([r[0] for r in results])
-    labels = np.stack([r[1] for r in results])
-    return ids, labels, [r[2] for r in results]
+        ids_rows.append(corrupted)
+        label_rows.append(labels)
+        plans.append(plan)
+    return np.stack(ids_rows), np.stack(label_rows), plans
 
 
 def assemble_batch(
@@ -211,7 +189,7 @@ def assemble_batch(
     chosen = picker.integers(0, frames_ids.shape[0], size=tr.batch_size)
     ids, labels, plans = _corrupt_rows(
         frames_ids, chosen, step, run.masking.p, schedule, policy, vocab,
-        lambda slot: split(tr.seed, STREAM_MASK, step, slot), tr.workers,
+        lambda slot: split(tr.seed, STREAM_MASK, step, slot),
     )
     return Batch(ids=ids, padding_mask=frames_real[chosen], labels=labels), plans
 
@@ -249,6 +227,23 @@ def attention_probe(
     }
 
 
+def run_diagnostics(
+    params: ModelParams,
+    run: RunConfig,
+    schedule: MaskSchedule,
+    policy: CorruptionPolicy,
+    vocab: Vocabulary,
+    frames: tuple[np.ndarray, np.ndarray],
+    step: int,
+) -> tuple[dict, float | None]:
+    """Attention probe at ``step`` and, for 6-mers, the k-mer embedding silhouette."""
+    attention = attention_probe(params, run, schedule, policy, vocab, frames, step)
+    silhouette = None
+    if run.tokenizer.k == 6:
+        silhouette = embedding_silhouette(params["tok_emb"][vocab.first_kmer_id :])
+    return attention, silhouette
+
+
 @dataclass
 class PretrainResult:
     report: RunReport
@@ -259,13 +254,12 @@ class PretrainResult:
 
 
 def _configs_compatible(saved: dict | None, current: dict) -> bool:
-    if saved is None:
-        return True
-    a, b = dict(saved), dict(current)
-    # Worker count may differ between sessions; it cannot change outputs.
-    for cfg in (a, b):
-        cfg["training"] = {k: v for k, v in cfg.get("training", {}).items() if k != "workers"}
-    return a == b
+    """Whether a checkpoint's echoed config matches ``current``.
+
+    The saved side goes through the same loader as a config file, so a key
+    that loader retires does not count as a difference.
+    """
+    return saved is None or run_config_from_dict(saved).to_dict() == current
 
 
 def pretrain_run(
@@ -333,12 +327,9 @@ def pretrain_run(
         )
 
     final_step = end_step
-    attention = attention_probe(
+    attention, silhouette = run_diagnostics(
         params, run, schedule, policy, vocab, (frames_ids, frames_real), final_step
     )
-    silhouette = None
-    if run.tokenizer.k == 6:
-        silhouette = embedding_silhouette(params["tok_emb"][vocab.first_kmer_id :])
 
     report = RunReport(
         config=run.to_dict(),

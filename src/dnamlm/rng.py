@@ -3,9 +3,10 @@
 Every random choice in the package flows from a single root seed through
 counter-based Philox generators keyed by an integer path, for example
 ``split(seed, STREAM_MASK, step, slot)``.  Generators with distinct paths
-produce independent streams, so batch items can be prepared in any order
-(or on several workers) without changing what any single item sees, and a
-resumed run regenerates exactly the batches an uninterrupted run would.
+produce independent streams, and every batch item is keyed by its own path,
+so what an item sees depends neither on any other item nor on the step a
+run started from: a resumed run regenerates bit for bit the batches an
+uninterrupted run would.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -64,6 +67,54 @@ class TestRunConfig:
     def test_override(self):
         run = RunConfig().override("training", seed=4, total_steps=55)
         assert run.training.seed == 4 and run.training.total_steps == 55
+
+    def test_retired_workers_key_dropped(self):
+        # Every section written out in full, as configs and checkpoint echoes
+        # from before the key's removal carry it.
+        obj = {
+            "corpus": {
+                "source": "synthetic", "fasta_path": None, "lenient": False,
+                "num_sequences": 128, "sequence_length": 512,
+                "motifs": [["TATAATGCGC", 0.6], ["GGCCAATCAG", 0.6]],
+                "background": [0.25, 0.25, 0.25, 0.25],
+                "window_length": 512, "window_stride": None, "max_n_fraction": 0.1,
+            },
+            "tokenizer": {"k": 6, "strategy": "overlapping"},
+            "masking": {
+                "p": 0.025, "mode": "randommask",
+                "stage_fractions": [0.06, 0.12, 0.20, 0.30, 1.00],
+                "base_width": 6, "width_increment": 2,
+                "policy": {"p_mask": 0.8, "p_random": 0.1, "p_keep": 0.1},
+            },
+            "model": {
+                "num_layers": 2, "num_heads": 4, "hidden_dim": 64, "ff_dim": 256,
+                "max_len": 128, "dropout_rate": 0.0, "tie_embeddings": False,
+                "dtype": "float32",
+            },
+            "training": {
+                "total_steps": 40, "batch_size": 16, "lr": 0.001,
+                "weight_decay": 0.01, "seed": 0, "workers": 1,
+            },
+            "finetune": {
+                "epochs": 5, "lr": 3e-5, "batch_size": 32, "weight_decay": 0.0,
+                "freeze_backbone": False,
+            },
+        }
+        run = run_config_from_dict(obj)
+        assert "workers" not in run.to_dict()["training"]
+        assert run.training.total_steps == 40 and run.corpus.num_sequences == 128
+        # dropped whatever its value, including ones the old range check refused
+        for value in (4, 0, "many"):
+            again = run_config_from_dict({"training": {"total_steps": 40, "workers": value}})
+            assert again.to_dict()["training"] == run.to_dict()["training"]
+        with pytest.raises(ConfigInvalid):
+            run_config_from_dict({"model": {"workers": 1}})
+
+    def test_readme_run_config_block_matches_defaults(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Run config\n", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == RunConfig().to_dict()
 
 
 @pytest.fixture()
@@ -260,6 +311,29 @@ class TestCliPretrainAnalyze:
         # k=6 in this config, so the embedding metric is present
         assert -1.0 <= obj["silhouette"] <= 1.0
 
+    def test_analyze_matches_report_and_reads_retired_workers_key(
+        self, small_config, tmp_path, capsys
+    ):
+        out = str(tmp_path / "runA")
+        assert main(["pretrain", "--config", small_config, "--out", out]) == 0
+        capsys.readouterr()
+        ckpt = os.path.join(out, "checkpoint")
+        before = str(tmp_path / "before.json")
+        assert main(["analyze", "--checkpoint", ckpt, "--out", before]) == 0
+        manifest_path = os.path.join(ckpt, "manifest.json")
+        manifest = json.loads(open(manifest_path).read())
+        manifest["run_config"]["training"]["workers"] = 2
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+        after = str(tmp_path / "after.json")
+        assert main(["analyze", "--checkpoint", ckpt, "--out", after]) == 0
+        assert open(before, "rb").read() == open(after, "rb").read()
+        # analyze at the checkpoint step repeats pretrain's own diagnostics
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        obj = json.loads(open(after).read())
+        assert obj["silhouette"] == report["silhouette"]
+        assert {k: obj[k] for k in report["attention"]} == report["attention"]
+
     def test_analyze_probe_step_zero_is_usage_error(self, tmp_path, capsys):
         from dnamlm.model import ModelConfig, init_model, save_checkpoint
 
@@ -345,6 +419,45 @@ class TestCliFinetune:
         assert err["error"] == "ConfigInvalid"
         assert "dropout_rate" in err["message"]
 
+    def test_finetune_negative_lr_is_usage_error(self, labeled_csv, tmp_path, capsys):
+        out = str(tmp_path / "ft")
+        rc = main(["finetune", "--data", labeled_csv, "--finetune-lr", "-1", "--out", out])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid"
+        assert "learning rate" in err["message"]
+        assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+    def test_every_finetune_key_reaches_finetune_config(
+        self, labeled_csv, tmp_path, capsys, monkeypatch
+    ):
+        from dnamlm import cli
+        from dnamlm.config import FinetuneSection
+
+        section = {"epochs": 3, "lr": 0.004, "batch_size": 7, "weight_decay": 0.05,
+                   "freeze_backbone": True}
+        assert set(section) == {f.name for f in dataclasses.fields(FinetuneSection)}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "tokenizer": {"k": 3},
+            "model": {"num_layers": 1, "hidden_dim": 16, "ff_dim": 32, "max_len": 24},
+            "finetune": section,
+            "training": {"seed": 13},
+        }), encoding="utf-8")
+        seen = []
+
+        def fake_finetune(params, examples, num_classes, vocab, config, strategy):
+            seen.append(config)
+            return params, [{"epoch": 1, "loss": 0.0, "mcc": 0.0}]
+
+        monkeypatch.setattr(cli, "finetune_classify", fake_finetune)
+        assert main(["finetune", "--config", str(cfgp), "--data", labeled_csv,
+                     "--out", str(tmp_path / "ft")]) == 0
+        capsys.readouterr()
+        (ft,) = seen
+        assert {k: getattr(ft, k) for k in section} == section
+        assert ft.seed == 13
+
     def test_finetune_from_checkpoint(self, labeled_csv, small_config, tmp_path, capsys):
         out_pre = str(tmp_path / "pre")
         assert main(["pretrain", "--config", small_config, "--out", out_pre]) == 0
@@ -363,6 +476,15 @@ class TestCliContracts:
             with pytest.raises(SystemExit) as exc:
                 main([cmd, "--help"])
             assert exc.value.code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain"], ["mask-stats"], ["finetune", "--data", "train.csv"],
+    ])
+    def test_workers_flag_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_invalid_config_json_error_on_stderr(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

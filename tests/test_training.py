@@ -228,6 +228,18 @@ class TestFinetune:
             assert len(metrics) == 1 and {"epoch", "loss", "mcc"} <= set(metrics[0])
             assert np.array_equal(params["layer0.wq"], before) == frozen
 
+    @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}])
+    def test_optimizer_settings_checked(self, bad):
+        vocab = build_vocab(3)
+        cfg = ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2,
+                          hidden_dim=8, ff_dim=16, max_len=16, dtype="float32", seed=0)
+        params = init_model(cfg)
+        before = {k: a.copy() for k, a in params.arrays.items()}
+        with pytest.raises(ConfigInvalid):
+            finetune_classify(params, make_separable_dataset(6), 2, vocab,
+                              FinetuneConfig(epochs=1, batch_size=8, **bad))
+        assert all(np.array_equal(params[k], before[k]) for k in before)
+
     def test_head_resized_for_class_count(self):
         vocab = build_vocab(3)
         cfg = ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2,
