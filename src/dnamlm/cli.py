@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -87,6 +87,16 @@ def _open_input(path: str):
         raise ConfigInvalid(f"cannot read {path!r}: {exc}") from None
 
 
+def _write_output(args: argparse.Namespace, text: str) -> int:
+    """Write a command's text output to ``--out``, or else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         with _open_input(args.config) as fh:
@@ -97,27 +107,13 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         run = run_config_from_dict(raw)
     else:
         run = RunConfig()
-    overrides = {
-        "tokenizer": {"k": "k", "strategy": "strategy"},
-        "masking": {"p": "p", "mode": "masking_mode"},
-        "training": {
-            "total_steps": "total_steps",
-            "batch_size": "batch_size",
-            "lr": "lr",
-            "seed": "seed",
-        },
-        "finetune": {
-            "epochs": "epochs",
-            "lr": "finetune_lr",
-            "batch_size": "finetune_batch_size",
-            "freeze_backbone": "freeze_backbone",
-        },
-    }
-    for section, keys in overrides.items():
+    # Config flags store under "section.key" dests; apply the set ones.
+    flags = vars(args)
+    for section in (f.name for f in fields(RunConfig)):
         updates = {
-            key: getattr(args, attr)
-            for key, attr in keys.items()
-            if getattr(args, attr, None) is not None
+            dest.split(".", 1)[1]: value
+            for dest, value in flags.items()
+            if dest.startswith(section + ".") and value is not None
         }
         if updates:
             run = run.override(section, **updates)
@@ -138,13 +134,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     for rec in records:
         tokens = encode(rec, vocab, strategy)
         lines.append(" ".join(str(i) for i in tokens.ids))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, "\n".join(lines) + "\n")
 
 
 # --- mask-stats -------------------------------------------------------------
@@ -188,13 +178,7 @@ def cmd_mask_stats(args: argparse.Namespace) -> int:
         "width_histogram": {str(k): width_hist[k] for k in sorted(width_hist)},
         "span_length_histogram": {str(k): span_hist[k] for k in sorted(span_hist)},
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, json.dumps(payload, indent=2) + "\n")
 
 
 # --- pretrain ---------------------------------------------------------------
@@ -295,13 +279,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "silhouette": silhouette,
         **attention,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args, json.dumps(payload, indent=2) + "\n")
 
 
 # --- parser -----------------------------------------------------------------
@@ -316,19 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p: argparse.ArgumentParser, finetune: bool = False) -> None:
         p.add_argument("--config", help="JSON run-config file")
-        p.add_argument("--seed", type=int, help="root seed (overrides config)")
-        p.add_argument("--k", type=int, help="k-mer size")
-        p.add_argument("--strategy", choices=[s.value for s in Strategy])
-        p.add_argument("--p", type=float, help="per-position trigger probability")
-        p.add_argument("--masking-mode", choices=["randommask", "baseline"])
-        p.add_argument("--total-steps", type=int)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--lr", type=float)
+        # Each dest names the "section.key" the flag overrides in the run config.
+        p.add_argument("--seed", dest="training.seed", type=int,
+                       help="root seed (overrides config)")
+        p.add_argument("--k", dest="tokenizer.k", type=int, help="k-mer size")
+        p.add_argument("--strategy", dest="tokenizer.strategy",
+                       choices=[s.value for s in Strategy])
+        p.add_argument("--p", dest="masking.p", type=float,
+                       help="per-position trigger probability")
+        p.add_argument("--masking-mode", dest="masking.mode",
+                       choices=["randommask", "baseline"])
+        p.add_argument("--total-steps", dest="training.total_steps", type=int)
+        p.add_argument("--batch-size", dest="training.batch_size", type=int)
+        p.add_argument("--lr", dest="training.lr", type=float)
         if finetune:
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--finetune-lr", type=float)
-            p.add_argument("--finetune-batch-size", type=int)
-            p.add_argument("--freeze-backbone", action="store_const", const=True)
+            p.add_argument("--epochs", dest="finetune.epochs", type=int)
+            p.add_argument("--finetune-lr", dest="finetune.lr", type=float)
+            p.add_argument("--finetune-batch-size", dest="finetune.batch_size", type=int)
+            p.add_argument("--freeze-backbone", dest="finetune.freeze_backbone",
+                           action="store_const", const=True)
 
     p_tok = sub.add_parser("tokenize", help="encode FASTA records as token ids")
     p_tok.add_argument("input", help="FASTA path, or '-' for stdin")

@@ -51,11 +51,6 @@ class DnaSequence:
     def __len__(self) -> int:
         return len(self.bases)
 
-    def n_fraction(self) -> float:
-        if not self.bases:
-            return 0.0
-        return self.bases.count("N") / len(self.bases)
-
 
 @dataclass
 class LabeledExample:

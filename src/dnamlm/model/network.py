@@ -50,14 +50,6 @@ class Batch:
     class_labels: np.ndarray | None = None
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _SQRT1_2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _SQRT1_2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     mu = x.mean(-1, keepdims=True)
     xhat = x - mu

@@ -24,6 +24,14 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def check_hyperparameters(lr: float, beta1: float, beta2: float) -> None:
+    """Reject a negative learning rate or a beta outside [0, 1)."""
+    if lr < 0:
+        raise ConfigInvalid(f"learning rate must be >= 0, got {lr}")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ConfigInvalid(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+
+
 def init_optimizer(
     params: ModelParams,
     lr: float,
@@ -32,10 +40,7 @@ def init_optimizer(
     weight_decay: float = 0.0,
     eps: float = 1e-8,
 ) -> OptimizerState:
-    if lr < 0:
-        raise ConfigInvalid(f"learning rate must be >= 0, got {lr}")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ConfigInvalid(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+    check_hyperparameters(lr, beta1, beta2)
     return OptimizerState(
         lr=lr,
         beta1=beta1,

@@ -11,9 +11,9 @@ from ..analysis import multiclass_mcc
 from ..corpus import LabeledExample
 from ..errors import ConfigInvalid, EmptyDataset, NonFiniteLoss
 from ..rng import STREAM_INIT, STREAM_SHUFFLE, split
-from ..tokenizer import Strategy, Vocabulary, encode, wrap_for_model
+from ..tokenizer import Strategy, Vocabulary, prepare_frames
 from .network import Batch, _as_batch, _encode, backward
-from .optimizer import OptimizerState, adamw_step, init_optimizer
+from .optimizer import OptimizerState, adamw_step, check_hyperparameters, init_optimizer
 from .params import ModelParams, truncated_normal
 
 CLASSIFIER_PARAMS = {"cls_w", "cls_b"}
@@ -61,22 +61,6 @@ class FinetuneConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigInvalid("epochs and batch_size must be >= 1")
-
-
-def prepare_classification_frames(
-    examples: list[LabeledExample],
-    vocab: Vocabulary,
-    max_len: int,
-    strategy: Strategy = Strategy.OVERLAPPING,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tokenize, frame, and stack a labeled dataset into model arrays."""
-    ids_rows, mask_rows, labels = [], [], []
-    for ex in examples:
-        framed, real = wrap_for_model(encode(ex.sequence, vocab, strategy), vocab, max_len)
-        ids_rows.append(framed)
-        mask_rows.append(real)
-        labels.append(ex.label)
-    return np.stack(ids_rows), np.stack(mask_rows), np.asarray(labels, dtype=np.int64)
 
 
 def _resize_classifier_head(params: ModelParams, num_classes: int, seed: int) -> None:
@@ -128,12 +112,15 @@ def finetune_classify(
         raise EmptyDataset("no fine-tuning examples")
     if num_classes < 1:
         raise ConfigInvalid(f"num_classes must be >= 1, got {num_classes}")
+    # Everything that can reject the call runs before the head is replaced.
+    check_hyperparameters(config.lr, config.beta1, config.beta2)
+    ids, real = prepare_frames(
+        [ex.sequence for ex in examples], vocab, strategy, params.config.max_len
+    )
+    labels = np.asarray([ex.label for ex in examples], dtype=np.int64)
     if num_classes != params.config.num_classes:
         _resize_classifier_head(params, num_classes, config.seed)
 
-    ids, real, labels = prepare_classification_frames(
-        examples, vocab, params.config.max_len, strategy
-    )
     opt = init_optimizer(
         params,
         lr=config.lr,

@@ -1,9 +1,10 @@
 """End-to-end pre-training pipeline.
 
-Pure, seed-keyed batch assembly (tokenize, plan masks, corrupt) feeding a
-serial training loop.  Every batch item draws from its own generator, keyed
-by (seed, stream, step, slot), so a resumed run regenerates exactly the
-batches of an uninterrupted one.
+Pure, seed-keyed batch assembly (plan masks, corrupt) over the framed
+windows that ``tokenizer.prepare_frames`` builds, feeding a serial training
+loop.  Every batch item draws from its own generator, keyed by (seed,
+stream, step, slot), so a resumed run regenerates exactly the batches of an
+uninterrupted one.
 
 ``schedule_from_config`` is the only reader of ``masking.mode``: RandomMask
 gets its staged schedule, the fixed-width baseline a one-stage schedule of
@@ -58,8 +59,7 @@ from .tokenizer import (
     Strategy,
     Vocabulary,
     build_vocab,
-    encode,
-    wrap_for_model,
+    prepare_frames,
 )
 
 CHECKPOINT_DIRNAME = "checkpoint"
@@ -109,7 +109,13 @@ def build_windows(run: RunConfig) -> list[DnaSequence]:
             )
         )
     else:
-        with open(c.fasta_path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(c.fasta_path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigInvalid(
+                f"cannot read corpus.fasta_path {c.fasta_path!r}: {exc}"
+            ) from None
+        with fh:
             sequences = parse_fasta(fh, lenient=c.lenient)
     windows: list[DnaSequence] = []
     for seq in sequences:
@@ -118,7 +124,7 @@ def build_windows(run: RunConfig) -> list[DnaSequence]:
                 seq,
                 c.window_length,
                 mode="tiled",
-                stride=c.window_stride or c.window_length,
+                stride=c.window_stride,
                 max_n_fraction=c.max_n_fraction,
             )
         )
@@ -129,21 +135,6 @@ def build_windows(run: RunConfig) -> list[DnaSequence]:
             f"window_length {c.window_length} shorter than k={run.tokenizer.k}"
         )
     return windows
-
-
-def prepare_frames(
-    windows: list[DnaSequence],
-    vocab: Vocabulary,
-    strategy: Strategy,
-    max_len: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tokenize each window once and stack the framed id / mask arrays."""
-    ids_rows, real_rows = [], []
-    for w in windows:
-        framed, real = wrap_for_model(encode(w, vocab, strategy), vocab, max_len)
-        ids_rows.append(framed)
-        real_rows.append(real)
-    return np.stack(ids_rows), np.stack(real_rows)
 
 
 def _frame_exclusion(ids: np.ndarray) -> np.ndarray:

@@ -4,6 +4,10 @@ Overlapping tokenization slides a k-wide window at stride 1 (L-k+1 tokens),
 non-overlapping uses stride k (floor(L/k) tokens, remainder dropped), and
 same-length tiles the non-overlapping tokens cyclically until the output is
 exactly as long as the overlapping encoding of the same sequence.
+
+``wrap_for_model`` frames one encoding as [CLS] ids [SEP] plus padding, and
+``prepare_frames`` tokenizes and frames a list of sequences into the stacked
+id / mask arrays that pre-training and fine-tuning both feed the model.
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ class Vocabulary:
     def first_kmer_id(self) -> int:
         return NUM_SPECIAL
 
-    @property
-    def num_kmers(self) -> int:
-        return self.size - NUM_SPECIAL
-
     def id(self, token: str) -> int:
         return self.token_to_id[token]
 
@@ -71,9 +71,6 @@ class Vocabulary:
     def kmer_id(self, kmer: str) -> int:
         """Id for a k-mer window; any window containing N maps to [UNK]."""
         return self.token_to_id.get(kmer, UNK_ID)
-
-    def is_special(self, token_id: int) -> bool:
-        return token_id < NUM_SPECIAL
 
     def to_json(self) -> str:
         return json.dumps(
@@ -201,6 +198,21 @@ def wrap_for_model(
     real = np.zeros(max_len, dtype=bool)
     real[: len(body) + 2] = True
     return framed, real
+
+
+def prepare_frames(
+    sequences: list[DnaSequence],
+    vocab: Vocabulary,
+    strategy: Strategy,
+    max_len: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize each sequence once and stack the framed id / mask arrays."""
+    ids_rows, real_rows = [], []
+    for seq in sequences:
+        framed, real = wrap_for_model(encode(seq, vocab, strategy), vocab, max_len)
+        ids_rows.append(framed)
+        real_rows.append(real)
+    return np.stack(ids_rows), np.stack(real_rows)
 
 
 def central_dinucleotide(kmer: str) -> str:

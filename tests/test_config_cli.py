@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -470,6 +471,68 @@ class TestCliFinetune:
         assert os.path.exists(os.path.join(out_ft, "metrics.csv"))
 
 
+# Every config flag: an argument, and the section key it sets to a value
+# other than the default.  "--config" reads CONFIG_FILE_BODY.
+CONFIG_FLAGS = [
+    ("--config", None, "model", "hidden_dim", 32),
+    ("--seed", "7", "training", "seed", 7),
+    ("--k", "4", "tokenizer", "k", 4),
+    ("--strategy", "samelength", "tokenizer", "strategy", "samelength"),
+    ("--p", "0.3", "masking", "p", 0.3),
+    ("--masking-mode", "baseline", "masking", "mode", "baseline"),
+    ("--total-steps", "77", "training", "total_steps", 77),
+    ("--batch-size", "5", "training", "batch_size", 5),
+    ("--lr", "0.25", "training", "lr", 0.25),
+    ("--epochs", "9", "finetune", "epochs", 9),
+    ("--finetune-lr", "0.125", "finetune", "lr", 0.125),
+    ("--finetune-batch-size", "11", "finetune", "batch_size", 11),
+    ("--freeze-backbone", None, "finetune", "freeze_backbone", True),
+]
+CONFIG_FILE_BODY = {"model": {"hidden_dim": 32}}
+FINETUNE_ONLY = {"--epochs", "--finetune-lr", "--finetune-batch-size", "--freeze-backbone"}
+# Each command's flags that are not config flags, and the arguments it requires.
+COMMAND_FLAGS = {
+    "pretrain": ({"--out", "--resume", "--stop-after"}, []),
+    "mask-stats": ({"--step", "--seq-len", "--samples", "--out"}, []),
+    "finetune": ({"--checkpoint", "--data", "--out"}, ["--data", "train.csv"]),
+}
+
+
+def _subparser(command):
+    from dnamlm import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_every_config_flag_is_covered(self, command):
+        other, _required = COMMAND_FLAGS[command]
+        declared = {opt for a in _subparser(command)._actions for opt in a.option_strings}
+        want = {flag for flag, *_ in CONFIG_FLAGS
+                if command == "finetune" or flag not in FINETUNE_ONLY}
+        assert declared - {"-h", "--help"} - other == want
+
+    @pytest.mark.parametrize("command,flag,arg,section,key,value", [
+        (command, *case) for command in sorted(COMMAND_FLAGS) for case in CONFIG_FLAGS
+        if command == "finetune" or case[0] not in FINETUNE_ONLY
+    ])
+    def test_flag_sets_only_its_key(self, command, flag, arg, section, key, value, tmp_path):
+        from dnamlm import cli
+
+        if flag == "--config":
+            arg = str(tmp_path / "cfg.json")
+            pathlib.Path(arg).write_text(json.dumps(CONFIG_FILE_BODY), encoding="utf-8")
+        argv = [command, *COMMAND_FLAGS[command][1], flag] + ([arg] if arg else [])
+        run = cli._load_run_config(cli.build_parser().parse_args(argv))
+        want = RunConfig().to_dict()
+        assert want[section][key] != value
+        want[section][key] = value
+        assert run.to_dict() == want
+
+
 class TestCliContracts:
     def test_help_exits_zero_for_every_subcommand(self):
         for cmd in ("tokenize", "mask-stats", "pretrain", "finetune", "analyze"):
@@ -494,6 +557,26 @@ class TestCliContracts:
         assert err["error"] == "ConfigInvalid"
         assert "bogus" in err["message"]
 
+    def test_zero_window_stride_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**SMALL_RUN, "corpus": {**SMALL_RUN["corpus"],
+                                                         "window_stride": 0}}),
+                     encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(p), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and "stride" in err["message"]
+        assert not out.exists()
+
+    def test_missing_fasta_path_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.fa")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"corpus": {"source": "fasta", "fasta_path": missing}}),
+                     encoding="utf-8")
+        assert main(["pretrain", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and "absent.fa" in err["message"]
+
     def test_report_dir_env_var(self, small_config, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DNAMLM_REPORT_DIR", str(tmp_path / "envruns"))
         assert main(["pretrain", "--config", small_config]) == 0
@@ -504,6 +587,7 @@ class TestCliContracts:
         proc = subprocess.run(
             [sys.executable, "-m", "dnamlm.cli", "--version"],
             capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
         assert proc.returncode == 0
         assert "dnamlm" in proc.stdout

@@ -345,7 +345,8 @@ class TestContract:
             proc = subprocess.run(
                 [sys.executable, "-c", _GRADIENT_DIGEST],
                 capture_output=True, text=True,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                         PYTHONPATH=os.pathsep.join(sys.path)),
             )
             assert proc.returncode == 0, proc.stderr
             digests.add(proc.stdout.strip())

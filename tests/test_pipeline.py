@@ -45,6 +45,34 @@ def test_window_shorter_than_k_rejected():
         build_windows(run)
 
 
+def _stride_run(stride):
+    return run_config_from_dict({
+        "corpus": {"num_sequences": 3, "sequence_length": 100, "window_length": 30,
+                   "window_stride": stride},
+    })
+
+
+def test_null_window_stride_tiles_by_window_length():
+    windows = build_windows(_stride_run(None))
+    assert [w.id for w in windows] == [
+        f"synthetic-{i}:{s}-{s + 30}" for i in range(3) for s in (0, 30, 60)
+    ]
+    assert windows == build_windows(_stride_run(30))
+    assert len(build_windows(_stride_run(10))) == 3 * 8
+
+
+def test_zero_window_stride_rejected():
+    with pytest.raises(ConfigInvalid, match="stride"):
+        build_windows(_stride_run(0))
+
+
+def test_prepare_frames_is_the_tokenizers():
+    # One framing path; the benchmark's tracer finds it here by identity.
+    from dnamlm import tokenizer
+
+    assert prepare_frames is tokenizer.prepare_frames
+
+
 def test_prepare_frames_layout():
     run = small_run()
     vocab = build_vocab(6)

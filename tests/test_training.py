@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dnamlm.corpus import DnaSequence, LabeledExample
-from dnamlm.errors import ConfigInvalid, EmptyDataset, NonFiniteLoss
+from dnamlm.errors import ConfigInvalid, EmptyDataset, NonFiniteLoss, SequenceTooShort
 from dnamlm.masking import IGNORE_LABEL
 from dnamlm.model import (
     Batch,
@@ -228,17 +228,28 @@ class TestFinetune:
             assert len(metrics) == 1 and {"epoch", "loss", "mcc"} <= set(metrics[0])
             assert np.array_equal(params["layer0.wq"], before) == frozen
 
-    @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}])
-    def test_optimizer_settings_checked(self, bad):
+    @staticmethod
+    def _assert_rejected_untouched(error, config, extra=()):
+        # A head resize is pending (2 -> 3 classes) when the call is rejected.
         vocab = build_vocab(3)
         cfg = ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2,
-                          hidden_dim=8, ff_dim=16, max_len=16, dtype="float32", seed=0)
+                          hidden_dim=8, ff_dim=16, max_len=16, num_classes=2,
+                          dtype="float32", seed=0)
         params = init_model(cfg)
-        before = {k: a.copy() for k, a in params.arrays.items()}
-        with pytest.raises(ConfigInvalid):
-            finetune_classify(params, make_separable_dataset(6), 2, vocab,
-                              FinetuneConfig(epochs=1, batch_size=8, **bad))
-        assert all(np.array_equal(params[k], before[k]) for k in before)
+        data = [LabeledExample(DnaSequence("a", "ACGTACGT"), i % 3) for i in range(9)]
+        before = {k: a.tobytes() for k, a in params.arrays.items()}
+        with pytest.raises(error):
+            finetune_classify(params, data + list(extra), 3, vocab, config)
+        assert params.config == cfg
+        assert {k: a.tobytes() for k, a in params.arrays.items()} == before
+
+    @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}])
+    def test_optimizer_settings_checked(self, bad):
+        self._assert_rejected_untouched(ConfigInvalid, FinetuneConfig(epochs=1, **bad))
+
+    def test_unframeable_example_leaves_params_untouched(self):
+        short = LabeledExample(DnaSequence("b", "AC"), 0)
+        self._assert_rejected_untouched(SequenceTooShort, FinetuneConfig(epochs=1), [short])
 
     def test_head_resized_for_class_count(self):
         vocab = build_vocab(3)
