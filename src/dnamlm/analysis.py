@@ -26,7 +26,7 @@ from .errors import (
     NoMaskedPositions,
 )
 from .masking import MaskSchedule
-from .tokenizer import central_dinucleotide
+from .tokenizer import build_vocab, central_dinucleotide
 
 _ENTROPY_SLACK = 1e-6
 
@@ -163,8 +163,6 @@ _SIX_MER_COUNT = 4 ** 6
 
 def dinucleotide_groups() -> np.ndarray:
     """Group index (0..15) of every 6-mer id offset, in vocabulary order."""
-    from .tokenizer import build_vocab
-
     vocab = build_vocab(6)
     pairs = sorted({central_dinucleotide(vocab.token(i))
                     for i in range(vocab.first_kmer_id, vocab.size)})

@@ -4,6 +4,10 @@ A run config has six sections (corpus, tokenizer, masking, model, training,
 finetune), each with documented defaults.  Unknown keys are rejected, CLI
 flags override file values, and the merged effective config is echoed into
 every report and checkpoint for provenance.
+
+The ``model`` and ``finetune`` sections are the model layer's own
+``ModelSettings`` and ``FinetuneSettings``, as ``masking.policy`` is a
+``CorruptionPolicy``, so each key has one default and one check.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from typing import Any
 
 from .errors import ConfigInvalid
 from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
+from .model.config import ModelSettings
+from .model.training import FinetuneSettings
+from .tokenizer import Strategy
 
 DEFAULT_MOTIFS = (("TATAATGCGC", 0.6), ("GGCCAATCAG", 0.6))
 
@@ -48,8 +55,6 @@ class TokenizerSection:
     strategy: str = "overlapping"        # overlapping | nonoverlapping | samelength
 
     def __post_init__(self) -> None:
-        from .tokenizer import Strategy
-
         try:
             Strategy(self.strategy)
         except ValueError:
@@ -74,18 +79,6 @@ class MaskingSection:
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    num_layers: int = 2
-    num_heads: int = 4
-    hidden_dim: int = 64
-    ff_dim: int = 256
-    max_len: int = 128
-    dropout_rate: float = 0.0
-    tie_embeddings: bool = False
-    dtype: str = "float32"
-
-
-@dataclass(frozen=True)
 class TrainingSection:
     total_steps: int = 1000
     batch_size: int = 16
@@ -98,22 +91,13 @@ class TrainingSection:
             raise ConfigInvalid("training.total_steps and batch_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class FinetuneSection:
-    epochs: int = 5
-    lr: float = 3e-5
-    batch_size: int = 32
-    weight_decay: float = 0.0
-    freeze_backbone: bool = False
-
-
 _SECTIONS = {
     "corpus": CorpusSection,
     "tokenizer": TokenizerSection,
     "masking": MaskingSection,
-    "model": ModelSection,
+    "model": ModelSettings,
     "training": TrainingSection,
-    "finetune": FinetuneSection,
+    "finetune": FinetuneSettings,
 }
 
 
@@ -130,9 +114,9 @@ class RunConfig:
     corpus: CorpusSection = field(default_factory=CorpusSection)
     tokenizer: TokenizerSection = field(default_factory=TokenizerSection)
     masking: MaskingSection = field(default_factory=MaskingSection)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ModelSettings = field(default_factory=ModelSettings)
     training: TrainingSection = field(default_factory=TrainingSection)
-    finetune: FinetuneSection = field(default_factory=FinetuneSection)
+    finetune: FinetuneSettings = field(default_factory=FinetuneSettings)
 
     def to_dict(self) -> dict:
         return _jsonify(asdict(self))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, IndexOutOfFrame, StepOutOfRange
-from .tokenizer import Vocabulary
+from .tokenizer import MASK_ID, Vocabulary
 
 #: Loss-label sentinel for positions that are not masked.
 IGNORE_LABEL = -100
@@ -195,8 +195,6 @@ def apply_corruption(
     Raises:
         IndexOutOfFrame: a plan index falls outside ``ids``.
     """
-    from .tokenizer import MASK_ID  # local import keeps module header light
-
     ids = np.asarray(ids)
     corrupted = ids.copy()
     labels = np.full(ids.shape, IGNORE_LABEL, dtype=np.int64)

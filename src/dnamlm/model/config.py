@@ -1,4 +1,8 @@
-"""Encoder shape and hyperparameter description."""
+"""Encoder shape and hyperparameter description.
+
+``ModelSettings`` is the run config's ``model`` section; ``ModelConfig``
+adds the vocabulary size, class count and seed, which a run derives.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +13,37 @@ from ..errors import ConfigInvalid
 DTYPES = ("float32", "float64")
 
 
+@dataclass(frozen=True, kw_only=True)
+class ModelSettings:
+    """Encoder settings a run config names; the trainer runs no dropout."""
+
+    num_layers: int = 2
+    num_heads: int = 4
+    hidden_dim: int = 64
+    ff_dim: int = 256
+    max_len: int = 128
+    dropout_rate: float = 0.0
+    tie_embeddings: bool = False
+    dtype: str = "float32"
+
+    def __post_init__(self) -> None:
+        for name in ("num_layers", "num_heads", "hidden_dim", "ff_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.hidden_dim % self.num_heads:
+            raise ConfigInvalid(
+                f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
+            )
+        if self.max_len < 3:
+            raise ConfigInvalid(f"max_len must be >= 3, got {self.max_len}")
+        if self.dropout_rate != 0.0:
+            raise ConfigInvalid(f"dropout_rate must be 0.0, got {self.dropout_rate}")
+        if self.dtype not in DTYPES:
+            raise ConfigInvalid(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
+
+
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(ModelSettings):
     """Shapes and training-relevant constants of the encoder.
 
     The defaults are the desk-scale configuration (2 layers, 64 hidden,
@@ -20,33 +53,15 @@ class ModelConfig:
     """
 
     vocab_size: int
-    num_layers: int = 2
-    num_heads: int = 4
-    hidden_dim: int = 64
-    ff_dim: int = 256
-    max_len: int = 128
     num_classes: int = 2
-    dropout_rate: float = 0.0
-    tie_embeddings: bool = False
-    dtype: str = "float32"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.vocab_size < 6:
             raise ConfigInvalid(f"vocab_size must cover specials + >=1 k-mer, got {self.vocab_size}")
-        for name in ("num_layers", "num_heads", "hidden_dim", "ff_dim", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalid(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.hidden_dim % self.num_heads:
-            raise ConfigInvalid(
-                f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
-            )
-        if self.max_len < 3:
-            raise ConfigInvalid(f"max_len must be >= 3, got {self.max_len}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigInvalid(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.dtype not in DTYPES:
-            raise ConfigInvalid(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
+        if self.num_classes < 1:
+            raise ConfigInvalid(f"num_classes must be >= 1, got {self.num_classes}")
+        super().__post_init__()
 
     @property
     def head_dim(self) -> int:

@@ -155,8 +155,6 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
         raise LengthExceeded(f"sequence length {l} exceeds max_len {cfg.max_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ConfigInvalid("token id outside the vocabulary")
-    if cfg.dropout_rate != 0.0:
-        raise ConfigInvalid("the deterministic trainer supports dropout_rate 0.0 only")
 
     x = params["tok_emb"][ids]
     x += params["pos_emb"][:l]

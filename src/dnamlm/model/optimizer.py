@@ -24,10 +24,12 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def check_hyperparameters(lr: float, beta1: float, beta2: float) -> None:
-    """Reject a negative learning rate or a beta outside [0, 1)."""
+def check_hyperparameters(lr: float, beta1: float, beta2: float, weight_decay: float) -> None:
+    """Reject a negative learning rate or weight decay, or a beta outside [0, 1)."""
     if lr < 0:
         raise ConfigInvalid(f"learning rate must be >= 0, got {lr}")
+    if weight_decay < 0:
+        raise ConfigInvalid(f"weight decay must be >= 0, got {weight_decay}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ConfigInvalid(f"betas must lie in [0, 1), got {beta1}, {beta2}")
 
@@ -40,7 +42,7 @@ def init_optimizer(
     weight_decay: float = 0.0,
     eps: float = 1e-8,
 ) -> OptimizerState:
-    check_hyperparameters(lr, beta1, beta2)
+    check_hyperparameters(lr, beta1, beta2, weight_decay)
     return OptimizerState(
         lr=lr,
         beta1=beta1,

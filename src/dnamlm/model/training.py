@@ -45,22 +45,28 @@ def train_step(
     return loss
 
 
-@dataclass(frozen=True)
-class FinetuneConfig:
-    """Classifier fine-tuning defaults (AdamW, batch 32, lr 3e-5, no decay)."""
+@dataclass(frozen=True, kw_only=True)
+class FinetuneSettings:
+    """The run config's ``finetune`` section: AdamW, batch 32, lr 3e-5, no decay."""
 
     epochs: int = 5
     lr: float = 3e-5
     batch_size: int = 32
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
     freeze_backbone: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigInvalid("epochs and batch_size must be >= 1")
+
+
+@dataclass(frozen=True, kw_only=True)
+class FinetuneConfig(FinetuneSettings):
+    """Fine-tune settings plus the AdamW betas and the run's seed."""
+
+    beta1: float = 0.9
+    beta2: float = 0.999
+    seed: int = 0
 
 
 def _resize_classifier_head(params: ModelParams, num_classes: int, seed: int) -> None:
@@ -113,7 +119,7 @@ def finetune_classify(
     if num_classes < 1:
         raise ConfigInvalid(f"num_classes must be >= 1, got {num_classes}")
     # Everything that can reject the call runs before the head is replaced.
-    check_hyperparameters(config.lr, config.beta1, config.beta2)
+    check_hyperparameters(config.lr, config.beta1, config.beta2, config.weight_decay)
     ids, real = prepare_frames(
         [ex.sequence for ex in examples], vocab, strategy, params.config.max_len
     )

@@ -98,6 +98,8 @@ def model_config_from_run(run: RunConfig, vocab: Vocabulary) -> ModelConfig:
 def build_windows(run: RunConfig) -> list[DnaSequence]:
     """Materialize the pre-training windows described by the corpus section."""
     c = run.corpus
+    if c.window_length < run.tokenizer.k:
+        raise ConfigInvalid(f"window_length {c.window_length} shorter than k={run.tokenizer.k}")
     if c.source == "synthetic":
         sequences = generate_synthetic(
             SyntheticCorpusConfig(
@@ -130,10 +132,6 @@ def build_windows(run: RunConfig) -> list[DnaSequence]:
         )
     if not windows:
         raise ConfigInvalid("corpus produced no usable windows")
-    if c.window_length < run.tokenizer.k:
-        raise ConfigInvalid(
-            f"window_length {c.window_length} shorter than k={run.tokenizer.k}"
-        )
     return windows
 
 

@@ -325,6 +325,7 @@ def test_criterion_06_overfit_probe():
 
 # --- criteria 7 and 8: desk-run dynamics --------------------------------------
 
+@pytest.mark.slow
 def test_criterion_07_loss_dynamics(desk_runs):
     rm = desk_runs["randommask"].report
     bl = desk_runs["baseline"].report
@@ -414,6 +415,7 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_08_attention_direction(desk_runs):
     metrics = _shared_probe_metrics(desk_runs)
     layers = len(metrics["randommask"]["cls_mass"])

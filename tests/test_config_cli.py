@@ -243,6 +243,30 @@ def small_config(tmp_path):
     return str(p)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "num_heads", 3),
+    ("model", "dtype", "float16"),
+    ("model", "dropout_rate", 0.1),
+    ("model", "max_len", 2),
+    ("model", "num_layers", 0),
+    ("finetune", "epochs", 0),
+    ("finetune", "batch_size", 0),
+])
+def test_model_and_finetune_values_checked_on_load(section, key, value, tmp_path, capsys):
+    obj = {**SMALL_RUN, "model": {**SMALL_RUN["model"], "hidden_dim": 64}}
+    obj[section] = {**obj.get(section, {}), key: value}
+    with pytest.raises(ConfigInvalid, match=key):
+        run_config_from_dict(obj)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    for argv in (["mask-stats", "--samples", "10", "--seq-len", "16"],
+                 ["pretrain", "--out", str(tmp_path / "run")]):
+        assert main(argv + ["--config", str(p)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and key in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
 class TestCliPretrainAnalyze:
     def test_pretrain_outputs_and_resume(self, small_config, tmp_path, capsys):
         out = str(tmp_path / "runA")
@@ -433,11 +457,11 @@ class TestCliFinetune:
         self, labeled_csv, tmp_path, capsys, monkeypatch
     ):
         from dnamlm import cli
-        from dnamlm.config import FinetuneSection
+        from dnamlm.model.training import FinetuneSettings
 
         section = {"epochs": 3, "lr": 0.004, "batch_size": 7, "weight_decay": 0.05,
                    "freeze_backbone": True}
-        assert set(section) == {f.name for f in dataclasses.fields(FinetuneSection)}
+        assert set(section) == {f.name for f in dataclasses.fields(FinetuneSettings)}
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({
             "tokenizer": {"k": 3},
@@ -566,6 +590,17 @@ class TestCliContracts:
         assert main(["pretrain", "--config", str(p), "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and "stride" in err["message"]
+        assert not out.exists()
+
+    def test_negative_weight_decay_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**SMALL_RUN, "training": {**SMALL_RUN["training"],
+                                                           "weight_decay": -1}}),
+                     encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(p), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and "weight decay" in err["message"]
         assert not out.exists()
 
     def test_missing_fasta_path_is_usage_error(self, tmp_path, capsys):

@@ -168,10 +168,9 @@ class TestForward:
             forward(params, np.full((1, 4), cfg.vocab_size))
 
     def test_nonzero_dropout_rejected_at_forward(self):
-        cfg = tiny_config(dropout_rate=0.1)
-        params = init_model(cfg)
-        with pytest.raises(ConfigInvalid):
-            forward(params, np.full((1, 4), 5))
+        # The trainer runs no dropout, so the config cannot be built with any.
+        with pytest.raises(ConfigInvalid, match="dropout_rate"):
+            tiny_config(dropout_rate=0.1)
 
 
 class TestMlmLoss:

@@ -45,6 +45,15 @@ def test_window_shorter_than_k_rejected():
         build_windows(run)
 
 
+def test_window_shorter_than_k_rejected_before_reading_the_corpus(tmp_path):
+    run = run_config_from_dict({
+        "corpus": {"source": "fasta", "fasta_path": str(tmp_path / "absent.fa"),
+                   "window_length": 4},
+    })
+    with pytest.raises(ConfigInvalid, match="window_length"):
+        build_windows(run)
+
+
 def _stride_run(stride):
     return run_config_from_dict({
         "corpus": {"num_sequences": 3, "sequence_length": 100, "window_length": 30,
@@ -205,13 +214,15 @@ def test_baseline_report_lists_only_width_k(tmp_path):
 
 
 def test_model_config_from_run_keeps_every_model_key():
-    run = run_config_from_dict({
-        "model": {"num_layers": 1, "hidden_dim": 16, "ff_dim": 32, "max_len": 45,
-                  "tie_embeddings": True, "dropout_rate": 0.1, "dtype": "float64"},
-        "training": {"seed": 11},
-    })
+    model = {"num_layers": 1, "num_heads": 2, "hidden_dim": 16, "ff_dim": 32,
+             "max_len": 45, "tie_embeddings": True, "dtype": "float64"}
+    run = run_config_from_dict({"model": model, "training": {"seed": 11}})
     cfg = model_config_from_run(run, build_vocab(6))
     assert cfg.vocab_size == 4101
-    assert (cfg.num_layers, cfg.hidden_dim, cfg.ff_dim, cfg.max_len) == (1, 16, 32, 45)
-    assert cfg.tie_embeddings and cfg.dropout_rate == 0.1
+    assert (cfg.num_layers, cfg.num_heads, cfg.hidden_dim, cfg.ff_dim, cfg.max_len) == (
+        1, 2, 16, 32, 45)
+    assert cfg.tie_embeddings and cfg.dropout_rate == 0.0
     assert cfg.dtype == "float64" and cfg.seed == 11
+    # dropout_rate is the one key without a runnable non-default value.
+    with pytest.raises(ConfigInvalid, match="dropout_rate"):
+        run_config_from_dict({"model": {**model, "dropout_rate": 0.1}})

@@ -243,7 +243,9 @@ class TestFinetune:
         assert params.config == cfg
         assert {k: a.tobytes() for k, a in params.arrays.items()} == before
 
-    @pytest.mark.parametrize("bad", [{"lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}])
+    @pytest.mark.parametrize(
+        "bad", [{"lr": -1.0}, {"beta1": 1.0}, {"beta2": -0.1}, {"weight_decay": -0.1}]
+    )
     def test_optimizer_settings_checked(self, bad):
         self._assert_rejected_untouched(ConfigInvalid, FinetuneConfig(epochs=1, **bad))
 
