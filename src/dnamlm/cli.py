@@ -133,7 +133,7 @@ def cmd_tokenize(args: argparse.Namespace) -> int:
     lines = []
     for rec in records:
         tokens = encode(rec, vocab, strategy)
-        lines.append(" ".join(str(i) for i in tokens.ids))
+        lines.append(" ".join(map(str, tokens.ids.tolist())))
     return _write_output(args, "\n".join(lines) + "\n")
 
 

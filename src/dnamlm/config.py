@@ -18,8 +18,9 @@ from typing import Any
 from .errors import ConfigInvalid
 from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
 from .model.config import ModelSettings
+from .model.optimizer import check_hyperparameters
 from .model.training import FinetuneSettings
-from .tokenizer import Strategy
+from .tokenizer import Strategy, check_k
 
 DEFAULT_MOTIFS = (("TATAATGCGC", 0.6), ("GGCCAATCAG", 0.6))
 
@@ -55,6 +56,7 @@ class TokenizerSection:
     strategy: str = "overlapping"        # overlapping | nonoverlapping | samelength
 
     def __post_init__(self) -> None:
+        check_k(self.k)
         try:
             Strategy(self.strategy)
         except ValueError:
@@ -117,6 +119,16 @@ class RunConfig:
     model: ModelSettings = field(default_factory=ModelSettings)
     training: TrainingSection = field(default_factory=TrainingSection)
     finetune: FinetuneSettings = field(default_factory=FinetuneSettings)
+
+    def __post_init__(self) -> None:
+        # Optimizers are built long after load (pretrain after the corpus,
+        # finetune after the data and checkpoint), so check their settings now.
+        for name in ("training", "finetune"):
+            section = getattr(self, name)
+            try:
+                check_hyperparameters(section.lr, weight_decay=section.weight_decay)
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"{name}: {exc}") from None
 
     def to_dict(self) -> dict:
         return _jsonify(asdict(self))

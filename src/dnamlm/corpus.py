@@ -29,6 +29,8 @@ logger = logging.getLogger(__name__)
 
 VALID_BASES = frozenset("ACGTN")
 BASE_ORDER = "ACGT"
+#: ``str.translate`` table that deletes the valid bases, leaving only bad ones.
+_DELETE_VALID = str.maketrans("", "", "ACGTN")
 
 #: Windows with more than this fraction of N are dropped by default.
 DEFAULT_MAX_N_FRACTION = 0.1
@@ -42,8 +44,8 @@ class DnaSequence:
     bases: str
 
     def __post_init__(self) -> None:
-        bad = set(self.bases) - VALID_BASES
-        if bad:
+        if self.bases.translate(_DELETE_VALID):
+            bad = set(self.bases) - VALID_BASES
             raise InvalidBase(
                 f"sequence {self.id!r} contains invalid bases {sorted(bad)}"
             )
@@ -67,7 +69,7 @@ def normalize_bases(raw: str, lenient: bool = False) -> str:
     mode it is mapped to N.
     """
     up = raw.upper()
-    if set(up) <= VALID_BASES:
+    if not up.translate(_DELETE_VALID):
         return up
     if not lenient:
         bad = sorted(set(up) - VALID_BASES)
@@ -86,8 +88,8 @@ def _iter_lines(stream: str | bytes | IO[str]) -> Iterable[str]:
 def parse_fasta(stream: str | bytes | IO[str], lenient: bool = False) -> list[DnaSequence]:
     """Parse FASTA text into a list of sequences, preserving record order.
 
-    Sequence lines belonging to one header are concatenated (wrapped FASTA)
-    and uppercased.  Blank lines are ignored.
+    Sequence lines belonging to one header are concatenated (wrapped FASTA),
+    then uppercased and checked once per record.  Blank lines are ignored.
 
     Args:
         stream: FASTA text, raw bytes, or an open text handle.
@@ -105,7 +107,8 @@ def parse_fasta(stream: str | bytes | IO[str], lenient: bool = False) -> list[Dn
 
     def flush() -> None:
         if header is not None:
-            records.append(DnaSequence(id=header, bases="".join(parts)))
+            bases = "".join("".join(parts).split())
+            records.append(DnaSequence(id=header, bases=normalize_bases(bases, lenient)))
 
     for line in _iter_lines(stream):
         line = line.strip()
@@ -119,7 +122,7 @@ def parse_fasta(stream: str | bytes | IO[str], lenient: bool = False) -> list[Dn
         else:
             if header is None:
                 raise MalformedFasta("sequence data before the first '>' header")
-            parts.append(normalize_bases("".join(line.split()), lenient=lenient))
+            parts.append(line)
     flush()
 
     if not saw_content:

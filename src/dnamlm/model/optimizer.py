@@ -24,7 +24,9 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def check_hyperparameters(lr: float, beta1: float, beta2: float, weight_decay: float) -> None:
+def check_hyperparameters(
+    lr: float, beta1: float = 0.9, beta2: float = 0.999, weight_decay: float = 0.0
+) -> None:
     """Reject a negative learning rate or weight decay, or a beta outside [0, 1)."""
     if lr < 0:
         raise ConfigInvalid(f"learning rate must be >= 0, got {lr}")

@@ -3,7 +3,9 @@
 Overlapping tokenization slides a k-wide window at stride 1 (L-k+1 tokens),
 non-overlapping uses stride k (floor(L/k) tokens, remainder dropped), and
 same-length tiles the non-overlapping tokens cyclically until the output is
-exactly as long as the overlapping encoding of the same sequence.
+exactly as long as the overlapping encoding of the same sequence.  All
+three derive from one whole-sequence array of overlapping k-mer ids and
+return their ids as 1-D int64 arrays.
 
 ``wrap_for_model`` frames one encoding as [CLS] ids [SEP] plus padding, and
 ``prepare_frames`` tokenizes and frames a list of sequences into the stacked
@@ -68,10 +70,6 @@ class Vocabulary:
     def token(self, token_id: int) -> str:
         return self.id_to_token[token_id]
 
-    def kmer_id(self, kmer: str) -> int:
-        """Id for a k-mer window; any window containing N maps to [UNK]."""
-        return self.token_to_id.get(kmer, UNK_ID)
-
     def to_json(self) -> str:
         return json.dumps(
             {"k": self.k, "special_tokens": list(SPECIAL_TOKENS), "ordering": "lex"}
@@ -87,10 +85,15 @@ class Vocabulary:
         return build_vocab(int(obj["k"]))
 
 
-def build_vocab(k: int) -> Vocabulary:
-    """Build the deterministic k-mer vocabulary for 1 <= k <= 8."""
+def check_k(k: int) -> None:
+    """Reject a k-mer size outside [1, 8]."""
     if not MIN_K <= k <= MAX_K:
         raise KOutOfRange(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
+
+
+def build_vocab(k: int) -> Vocabulary:
+    """Build the deterministic k-mer vocabulary for 1 <= k <= 8."""
+    check_k(k)
     tokens = list(SPECIAL_TOKENS)
     tokens.extend("".join(t) for t in itertools.product(BASE_ORDER, repeat=k))
     return Vocabulary(
@@ -102,9 +105,9 @@ def build_vocab(k: int) -> Vocabulary:
 
 @dataclass
 class TokenSequence:
-    """Encoded ids plus the strategy and k that produced them."""
+    """Encoded ids (a 1-D int64 array) plus the strategy and k that produced them."""
 
-    ids: list[int]
+    ids: np.ndarray
     strategy: Strategy
     k: int
 
@@ -112,25 +115,48 @@ class TokenSequence:
         return len(self.ids)
 
 
+#: Maps the bytes of A, C, G, T, N to the digits 0-4.
+_DIGITS = bytes.maketrans(b"ACGTN", bytes(range(5)))
+_N_DIGIT = 4
+
+
 def _check_length(seq: DnaSequence, k: int) -> None:
     if len(seq) < k:
         raise SequenceTooShort(f"sequence {seq.id!r} has {len(seq)} bases, need >= {k}")
 
 
+def _kmer_ids(bases: str, k: int) -> np.ndarray:
+    """Ids of every stride-1 k-mer of ``bases``; a k-mer holding an N is [UNK].
+
+    A k-mer's id is NUM_SPECIAL plus its base-4 value with the first base
+    most significant (A=0 < C < G < T), which is its lexicographic rank.
+    """
+    digits = np.frombuffer(bases.encode("ascii").translate(_DIGITS), dtype=np.uint8)
+    # np.convolve flips the kernel, so place value 4^j meets base k-1-j.
+    ids = np.convolve(digits, 4 ** np.arange(k, dtype=np.int64), mode="valid")
+    ids += NUM_SPECIAL
+    if "N" in bases:
+        n_count = np.convolve(digits == _N_DIGIT, np.ones(k, dtype=np.int64), mode="valid")
+        ids[n_count > 0] = UNK_ID
+    return ids
+
+
+def _nonoverlapping_ids(seq: DnaSequence, k: int) -> np.ndarray:
+    return _kmer_ids(seq.bases[: len(seq) // k * k], k)[::k]
+
+
 def encode_overlapping(seq: DnaSequence, vocab: Vocabulary) -> TokenSequence:
     """Window size k, stride 1: token t covers bases [t, t+k)."""
     _check_length(seq, vocab.k)
-    k, bases = vocab.k, seq.bases
-    ids = [vocab.kmer_id(bases[i : i + k]) for i in range(len(bases) - k + 1)]
-    return TokenSequence(ids=ids, strategy=Strategy.OVERLAPPING, k=k)
+    ids = _kmer_ids(seq.bases, vocab.k)
+    return TokenSequence(ids=ids, strategy=Strategy.OVERLAPPING, k=vocab.k)
 
 
 def encode_nonoverlapping(seq: DnaSequence, vocab: Vocabulary) -> TokenSequence:
     """Window size and stride both k; a trailing remainder < k is dropped."""
     _check_length(seq, vocab.k)
-    k, bases = vocab.k, seq.bases
-    ids = [vocab.kmer_id(bases[i : i + k]) for i in range(0, len(bases) - k + 1, k)]
-    return TokenSequence(ids=ids, strategy=Strategy.NONOVERLAPPING, k=k)
+    ids = _nonoverlapping_ids(seq, vocab.k)
+    return TokenSequence(ids=ids, strategy=Strategy.NONOVERLAPPING, k=vocab.k)
 
 
 def encode_same_length(seq: DnaSequence, vocab: Vocabulary) -> TokenSequence:
@@ -140,9 +166,8 @@ def encode_same_length(seq: DnaSequence, vocab: Vocabulary) -> TokenSequence:
     general L the tokens are repeated cyclically and truncated so the output
     always has exactly L - k + 1 tokens.
     """
-    base = encode_nonoverlapping(seq, vocab)
-    target = len(seq) - vocab.k + 1
-    ids = [base.ids[i % len(base.ids)] for i in range(target)]
+    _check_length(seq, vocab.k)
+    ids = np.resize(_nonoverlapping_ids(seq, vocab.k), len(seq) - vocab.k + 1)
     return TokenSequence(ids=ids, strategy=Strategy.SAME_LENGTH, k=vocab.k)
 
 
@@ -165,7 +190,7 @@ def decode_overlapping(tokens: TokenSequence, vocab: Vocabulary) -> DnaSequence:
     """
     if tokens.strategy is not Strategy.OVERLAPPING:
         raise ConfigInvalid(f"cannot decode strategy {tokens.strategy.value!r} as overlapping")
-    if not tokens.ids:
+    if len(tokens.ids) == 0:
         raise SequenceTooShort("cannot decode an empty token sequence")
     kmers = []
     for tid in tokens.ids:
@@ -180,7 +205,7 @@ def decode_overlapping(tokens: TokenSequence, vocab: Vocabulary) -> DnaSequence:
 
 
 def wrap_for_model(
-    tokens: TokenSequence | list[int], vocab: Vocabulary, max_len: int
+    tokens: TokenSequence | np.ndarray | list[int], vocab: Vocabulary, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame token ids as [CLS] ids [SEP] and pad to ``max_len``.
 
@@ -189,8 +214,8 @@ def wrap_for_model(
     """
     if max_len < 3:
         raise ConfigInvalid(f"max_len must be >= 3, got {max_len}")
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else list(tokens)
-    body = ids[: max_len - 2]
+    ids = tokens.ids if isinstance(tokens, TokenSequence) else tokens
+    body = np.asarray(ids, dtype=np.int64)[: max_len - 2]
     framed = np.full(max_len, PAD_ID, dtype=np.int64)
     framed[0] = CLS_ID
     framed[1 : 1 + len(body)] = body

@@ -125,7 +125,20 @@ def fasta_file(tmp_path):
     return str(p)
 
 
+DATA = pathlib.Path(__file__).parent / "data"
+
+
 class TestCliTokenize:
+    # tokenize_input.fa holds lowercase bases, N runs, a blank line and lines
+    # wrapped at 50, 60 and 70 columns.  The expected files were written by the
+    # earlier encoder, which looked each k-mer up in the vocabulary's dict.
+    @pytest.mark.parametrize("strategy", ["overlapping", "nonoverlapping", "samelength"])
+    def test_golden_output(self, strategy, tmp_path):
+        out = tmp_path / "ids.txt"
+        argv = ["tokenize", str(DATA / "tokenize_input.fa"), "--strategy", strategy]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"tokenize_k6_{strategy}.txt").read_bytes()
+
     def test_overlapping_line_per_record(self, fasta_file, capsys):
         assert main(["tokenize", fasta_file, "--k", "3"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -265,6 +278,33 @@ def test_model_and_finetune_values_checked_on_load(section, key, value, tmp_path
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and key in err["message"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("values,error,words", [
+    ({"training": {"lr": -1}}, "ConfigInvalid", "training: learning rate"),
+    ({"training": {"weight_decay": -1}}, "ConfigInvalid", "training: weight decay"),
+    ({"finetune": {"lr": -1}}, "ConfigInvalid", "finetune: learning rate"),
+    ({"finetune": {"weight_decay": -1}}, "ConfigInvalid", "finetune: weight decay"),
+    ({"training": {"lr": -1, "weight_decay": -1},
+      "finetune": {"lr": -1, "weight_decay": -1}}, "ConfigInvalid", "training: learning rate"),
+    ({"tokenizer": {"k": 9}}, "KOutOfRange", "k must be in [1, 8], got 9"),
+    ({"tokenizer": {"k": 0}}, "KOutOfRange", "k must be in [1, 8], got 0"),
+])
+def test_optimizer_settings_and_k_checked_on_load(values, error, words, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(values), encoding="utf-8")
+    assert main(["mask-stats", "--samples", "10", "--seq-len", "16", "--config", str(p)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and words in err["message"]
+
+
+@pytest.mark.parametrize("flags,words", [
+    (["--lr", "-1"], "learning rate"),
+    (["--k", "9"], "got 9"),
+])
+def test_optimizer_and_k_flags_checked_on_load(flags, words, capsys):
+    assert main(["mask-stats", "--samples", "10", "--seq-len", "16", *flags]) == 2
+    assert words in json.loads(capsys.readouterr().err)["message"]
 
 
 class TestCliPretrainAnalyze:
@@ -626,3 +666,13 @@ class TestCliContracts:
         )
         assert proc.returncode == 0
         assert "dnamlm" in proc.stdout
+
+    def test_python_m_package_entrypoint(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dnamlm", "--help"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: dnamlm")
+        assert "tokenize" in proc.stdout

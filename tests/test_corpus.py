@@ -62,6 +62,13 @@ class TestParseFasta:
         recs = parse_fasta(">r\nAC GT\nA  C")
         assert recs[0].bases == "ACGTAC"
 
+    def test_wrapped_record_checked_as_a_whole(self):
+        text = ">r1\nacxT\n A Cr\n>r2\nGGNN\n"
+        recs = parse_fasta(text, lenient=True)
+        assert [(r.id, r.bases) for r in recs] == [("r1", "ACNTACN"), ("r2", "GGNN")]
+        with pytest.raises(InvalidBase, match=r"\['R', 'X'\]"):
+            parse_fasta(text)
+
     def test_concatenation_totality(self):
         # concatenated bases per record equal the input sequence lines,
         # whitespace-stripped and uppercased
@@ -214,3 +221,7 @@ def test_normalize_bases_modes():
 def test_dna_sequence_invariant():
     with pytest.raises(InvalidBase):
         DnaSequence("x", "ACGU")
+    with pytest.raises(InvalidBase) as exc:
+        DnaSequence("y", "acgtNU-")
+    assert str(exc.value) == "sequence 'y' contains invalid bases ['-', 'U', 'a', 'c', 'g', 't']"
+    assert DnaSequence("z", "ACGTN" * 100).bases == "ACGTN" * 100

@@ -93,7 +93,7 @@ class TestEncoders:
     def test_overlapping_n_rule(self):
         v = build_vocab(3)
         ids = encode_overlapping(seq("ATNACG"), v).ids
-        assert ids[:3] == [UNK_ID] * 3
+        assert ids[:3].tolist() == [UNK_ID] * 3
         assert v.token(ids[3]) == "ACG"
 
     def test_nonoverlapping_reference_example(self):
@@ -138,6 +138,12 @@ class TestEncoders:
                 assert len(encode_nonoverlapping(s, v)) == length // k
                 assert len(encode_same_length(s, v)) == length - k + 1
 
+    def test_ids_are_int64_arrays(self):
+        v = build_vocab(3)
+        for enc in (encode_overlapping, encode_nonoverlapping, encode_same_length):
+            ids = enc(seq("ATGACGTN"), v).ids
+            assert isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1
+
     def test_adjacent_overlap_property(self):
         rng = np.random.default_rng(3)
         v = build_vocab(6)
@@ -146,6 +152,50 @@ class TestEncoders:
             toks = [v.token(i) for i in encode_overlapping(s, v).ids]
             for a, b in zip(toks, toks[1:]):
                 assert a[1:] == b[:-1]
+
+
+def lookup_overlapping(bases: str, v: Vocabulary) -> list[int]:
+    """Reference encoder: one vocabulary lookup per stride-1 k-mer."""
+    return [v.token_to_id.get(bases[i : i + v.k], UNK_ID) for i in range(len(bases) - v.k + 1)]
+
+
+def lookup_nonoverlapping(bases: str, v: Vocabulary) -> list[int]:
+    return [v.token_to_id.get(bases[i : i + v.k], UNK_ID)
+            for i in range(0, len(bases) - v.k + 1, v.k)]
+
+
+def lookup_same_length(bases: str, v: Vocabulary) -> list[int]:
+    base = lookup_nonoverlapping(bases, v)
+    return [base[i % len(base)] for i in range(len(bases) - v.k + 1)]
+
+
+class TestEncodersMatchLookup:
+    """The array encoders equal a per-k-mer vocabulary lookup, N windows included."""
+
+    CASES = (
+        (encode_overlapping, lookup_overlapping),
+        (encode_nonoverlapping, lookup_nonoverlapping),
+        (encode_same_length, lookup_same_length),
+    )
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_all_lengths(self, k):
+        rng = np.random.default_rng(10 + k)
+        v = build_vocab(k)
+        for length in [*range(k, 65), 511, 512]:
+            for alphabet in ("ACGT", "ACGTN", "ACGTNNNNNN"):
+                bases = "".join(rng.choice(list(alphabet), size=length))
+                for enc, lookup in self.CASES:
+                    assert enc(seq(bases), v).ids.tolist() == lookup(bases, v), (
+                        enc.__name__, bases)
+
+    def test_all_n_and_edge_n(self):
+        for k in (1, 3, 6, 8):
+            v = build_vocab(k)
+            for bases in ("N" * k, "N" * (3 * k + 1), "N" + "A" * (2 * k),
+                          "T" * (2 * k) + "N", "ACGT" * 4 + "N" + "ACGT" * 4):
+                for enc, lookup in self.CASES:
+                    assert enc(seq(bases), v).ids.tolist() == lookup(bases, v)
 
 
 class TestDecode:
@@ -180,6 +230,23 @@ class TestDecode:
         with pytest.raises(ConfigInvalid):
             decode_overlapping(tokens, v)
 
+    def test_round_trip_on_array_ids(self):
+        from dnamlm.tokenizer import TokenSequence
+
+        v = build_vocab(4)
+        bases = "ACGTTGCAAGGCTTAC"
+        ids = np.asarray(lookup_overlapping(bases, v), dtype=np.int64)
+        tokens = TokenSequence(ids=ids, strategy=Strategy.OVERLAPPING, k=4)
+        assert decode_overlapping(tokens, v).bases == bases
+
+    def test_empty_array_rejected(self):
+        from dnamlm.tokenizer import TokenSequence
+
+        v = build_vocab(3)
+        empty = TokenSequence(ids=np.empty(0, dtype=np.int64), strategy=Strategy.OVERLAPPING, k=3)
+        with pytest.raises(SequenceTooShort):
+            decode_overlapping(empty, v)
+
     def test_round_trip_random_sequences(self):
         rng = np.random.default_rng(4)
         for k in (1, 2, 3, 6):
@@ -212,6 +279,15 @@ class TestWrapForModel:
         v = build_vocab(3)
         with pytest.raises(ConfigInvalid):
             wrap_for_model([5], v, 2)
+
+    def test_list_and_array_frame_alike(self):
+        v = build_vocab(3)
+        for ids in ([], [7], list(range(5, 12)), list(range(5, 30))):
+            for max_len in (3, 8, 16):
+                from_list = wrap_for_model(ids, v, max_len)
+                from_array = wrap_for_model(np.asarray(ids, dtype=np.int64), v, max_len)
+                for a, b in zip(from_list, from_array):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_accepts_token_sequence(self):
         v = build_vocab(3)
