@@ -4,6 +4,7 @@ Matthews correlation for classification quality, attention concentration
 on [CLS] and attention entropy as under-training probes, a silhouette
 score quantifying how strongly k-mer embeddings organize by their central
 dinucleotide, and a detector for loss jumps at curriculum stage boundaries.
+The dinucleotide groups are read off the 6-mer ids' base-4 digits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import (
     NoMaskedPositions,
 )
 from .masking import MaskSchedule
-from .tokenizer import build_vocab, central_dinucleotide
 
 _ENTROPY_SLACK = 1e-6
 
@@ -162,16 +162,11 @@ _SIX_MER_COUNT = 4 ** 6
 
 
 def dinucleotide_groups() -> np.ndarray:
-    """Group index (0..15) of every 6-mer id offset, in vocabulary order."""
-    vocab = build_vocab(6)
-    pairs = sorted({central_dinucleotide(vocab.token(i))
-                    for i in range(vocab.first_kmer_id, vocab.size)})
-    index = {p: i for i, p in enumerate(pairs)}
-    return np.array(
-        [index[central_dinucleotide(vocab.token(i))]
-         for i in range(vocab.first_kmer_id, vocab.size)],
-        dtype=np.int64,
-    )
+    """Group index (0..15) of every 6-mer id offset, in vocabulary order.
+
+    An offset's bits 4-7 are its central dinucleotide's lexicographic rank.
+    """
+    return (np.arange(_SIX_MER_COUNT, dtype=np.int64) >> 4) & 15
 
 
 def embedding_silhouette(embeddings: np.ndarray) -> float:

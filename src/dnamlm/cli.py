@@ -123,13 +123,14 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 # --- tokenize ---------------------------------------------------------------
 
 def cmd_tokenize(args: argparse.Namespace) -> int:
-    vocab = build_vocab(args.k)
-    strategy = Strategy(args.strategy)
+    run = _load_run_config(args)
+    vocab = build_vocab(run.tokenizer.k)
+    strategy = Strategy(run.tokenizer.strategy)
     if args.input == "-":
-        records = parse_fasta(sys.stdin, lenient=args.lenient)
+        records = parse_fasta(sys.stdin, lenient=run.corpus.lenient)
     else:
         with _open_input(args.input) as fh:
-            records = parse_fasta(fh, lenient=args.lenient)
+            records = parse_fasta(fh, lenient=run.corpus.lenient)
     lines = []
     for rec in records:
         tokens = encode(rec, vocab, strategy)
@@ -254,10 +255,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.probe_step is not None and args.probe_step < 1:
         raise ConfigInvalid(f"--probe-step must be >= 1, got {args.probe_step}")
-    try:
-        ckpt = load_checkpoint(args.checkpoint)
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read checkpoint {args.checkpoint!r}: {exc}") from None
+    ckpt = load_checkpoint(args.checkpoint)
     if ckpt.run_config is None:
         raise ConfigInvalid(
             "checkpoint has no embedded run config; cannot rebuild probe data"
@@ -292,14 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dnamlm {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def add_config_flags(p: argparse.ArgumentParser, finetune: bool = False) -> None:
-        p.add_argument("--config", help="JSON run-config file")
-        # Each dest names the "section.key" the flag overrides in the run config.
-        p.add_argument("--seed", dest="training.seed", type=int,
-                       help="root seed (overrides config)")
+    # Each dest names the "section.key" the flag overrides in the run config.
+    def add_tokenizer_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--k", dest="tokenizer.k", type=int, help="k-mer size")
         p.add_argument("--strategy", dest="tokenizer.strategy",
                        choices=[s.value for s in Strategy])
+
+    def add_config_flags(p: argparse.ArgumentParser, finetune: bool = False) -> None:
+        p.add_argument("--config", help="JSON run-config file")
+        p.add_argument("--seed", dest="training.seed", type=int,
+                       help="root seed (overrides config)")
+        add_tokenizer_flags(p)
         p.add_argument("--p", dest="masking.p", type=float,
                        help="per-position trigger probability")
         p.add_argument("--masking-mode", dest="masking.mode",
@@ -316,10 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tok = sub.add_parser("tokenize", help="encode FASTA records as token ids")
     p_tok.add_argument("input", help="FASTA path, or '-' for stdin")
-    p_tok.add_argument("--k", type=int, default=6)
-    p_tok.add_argument("--strategy", choices=[s.value for s in Strategy],
-                       default=Strategy.OVERLAPPING.value)
-    p_tok.add_argument("--lenient", action="store_true",
+    add_tokenizer_flags(p_tok)
+    p_tok.add_argument("--lenient", dest="corpus.lenient", action="store_const", const=True,
                        help="map letters outside ACGTN to N")
     p_tok.add_argument("--out", help="output file (default: stdout)")
     p_tok.set_defaults(func=cmd_tokenize)

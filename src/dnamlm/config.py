@@ -13,7 +13,7 @@ The ``model`` and ``finetune`` sections are the model layer's own
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any
+from typing import Any, get_type_hints
 
 from .errors import ConfigInvalid
 from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
@@ -103,6 +103,13 @@ _SECTIONS = {
 }
 
 
+#: Each section's int-annotated keys and their hint (``int`` or ``int | None``).
+_INTEGER_KEYS = {
+    name: {key: hint for key, hint in get_type_hints(cls).items() if hint in (int, int | None)}
+    for name, cls in _SECTIONS.items()
+}
+
+
 def _jsonify(value):
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -121,6 +128,13 @@ class RunConfig:
     finetune: FinetuneSettings = field(default_factory=FinetuneSettings)
 
     def __post_init__(self) -> None:
+        # JSON's 6.5 and true pass the sections' range checks; reject them here.
+        for name, keys in _INTEGER_KEYS.items():
+            section = getattr(self, name)
+            for key, hint in keys.items():
+                value = getattr(section, key)
+                if isinstance(value, bool) or not isinstance(value, hint):
+                    raise ConfigInvalid(f"{name}.{key} must be an integer, got {value!r}")
         # Optimizers are built long after load (pretrain after the corpus,
         # finetune after the data and checkpoint), so check their settings now.
         for name in ("training", "finetune"):

@@ -92,12 +92,15 @@ def save_checkpoint(
 
 def load_checkpoint(directory: str) -> Checkpoint:
     """Read a checkpoint back; arrays compare bit-equal to what was saved."""
-    with open(os.path.join(directory, MANIFEST_NAME), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(os.path.join(directory, MANIFEST_NAME), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        with open(os.path.join(directory, BLOB_NAME), "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read checkpoint {directory!r}: {exc}") from None
     if manifest.get("schema") != SCHEMA_VERSION:
         raise ConfigInvalid(f"unsupported checkpoint schema {manifest.get('schema')!r}")
-    with open(os.path.join(directory, BLOB_NAME), "rb") as fh:
-        blob = fh.read()
 
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:

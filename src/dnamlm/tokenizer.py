@@ -1,5 +1,10 @@
 """k-mer vocabularies and the three tokenization strategies.
 
+A vocabulary is described by k alone: five special tokens, then the 4^k
+k-mers in lexicographic order, so a k-mer's id is 5 plus its base-4 value.
+Encoding, decoding and ``Vocabulary.token`` all compute ids and spellings
+from that layout; no k-mer table is built.
+
 Overlapping tokenization slides a k-wide window at stride 1 (L-k+1 tokens),
 non-overlapping uses stride k (floor(L/k) tokens, remainder dropped), and
 same-length tiles the non-overlapping tokens cyclically until the output is
@@ -14,9 +19,7 @@ id / mask arrays that pre-training and fine-tuning both feed the model.
 
 from __future__ import annotations
 
-import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,64 +46,48 @@ class Strategy(str, Enum):
     SAME_LENGTH = "samelength"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
-    """Bijection between k-mers plus special tokens and contiguous ids.
+    """The k-mer vocabulary, computed from k alone.
 
     Ids 0-4 are [PAD], [UNK], [CLS], [SEP], [MASK]; the 4^k k-mers follow
     from id 5 in lexicographic order over A < C < G < T, so the total size
-    is 4^k + 5 (4,101 for k = 6).
+    is 4^k + 5 (4,101 for k = 6).  A k-mer's id is 5 plus its base-4 value
+    with the first base most significant; no token table is built.
     """
 
     k: int
-    token_to_id: dict[str, int] = field(repr=False)
-    id_to_token: tuple[str, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        check_k(self.k)
 
     @property
     def size(self) -> int:
-        return len(self.id_to_token)
+        return 4 ** self.k + NUM_SPECIAL
 
     @property
     def first_kmer_id(self) -> int:
         return NUM_SPECIAL
 
-    def id(self, token: str) -> int:
-        return self.token_to_id[token]
-
     def token(self, token_id: int) -> str:
-        return self.id_to_token[token_id]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"k": self.k, "special_tokens": list(SPECIAL_TOKENS), "ordering": "lex"}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        obj = json.loads(text)
-        if obj.get("ordering") != "lex":
-            raise ConfigInvalid(f"unsupported vocabulary ordering {obj.get('ordering')!r}")
-        if tuple(obj.get("special_tokens", ())) != SPECIAL_TOKENS:
-            raise ConfigInvalid("special token set does not match this library's layout")
-        return build_vocab(int(obj["k"]))
+        """The special token or k-mer spelled by ``token_id``."""
+        if not 0 <= token_id < self.size:
+            raise IndexError(f"token id {token_id} outside [0, {self.size})")
+        if token_id < NUM_SPECIAL:
+            return SPECIAL_TOKENS[token_id]
+        value = int(token_id) - NUM_SPECIAL
+        return "".join(BASE_ORDER[(value >> 2 * j) & 3] for j in reversed(range(self.k)))
 
 
 def check_k(k: int) -> None:
-    """Reject a k-mer size outside [1, 8]."""
-    if not MIN_K <= k <= MAX_K:
-        raise KOutOfRange(f"k must be in [{MIN_K}, {MAX_K}], got {k}")
+    """Reject a k-mer size that is not an integer in [1, 8]."""
+    if isinstance(k, bool) or not isinstance(k, int) or not MIN_K <= k <= MAX_K:
+        raise KOutOfRange(f"k must be in [{MIN_K}, {MAX_K}], got {k!r}")
 
 
 def build_vocab(k: int) -> Vocabulary:
-    """Build the deterministic k-mer vocabulary for 1 <= k <= 8."""
-    check_k(k)
-    tokens = list(SPECIAL_TOKENS)
-    tokens.extend("".join(t) for t in itertools.product(BASE_ORDER, repeat=k))
-    return Vocabulary(
-        k=k,
-        token_to_id={t: i for i, t in enumerate(tokens)},
-        id_to_token=tuple(tokens),
-    )
+    """The deterministic k-mer vocabulary for 1 <= k <= 8."""
+    return Vocabulary(k)
 
 
 @dataclass
@@ -118,6 +105,8 @@ class TokenSequence:
 #: Maps the bytes of A, C, G, T, N to the digits 0-4.
 _DIGITS = bytes.maketrans(b"ACGTN", bytes(range(5)))
 _N_DIGIT = 4
+#: The letters A, C, G, T as bytes, indexed by digit.
+_LETTERS = np.frombuffer(BASE_ORDER.encode("ascii"), dtype=np.uint8)
 
 
 def _check_length(seq: DnaSequence, k: int) -> None:
@@ -186,22 +175,27 @@ def decode_overlapping(tokens: TokenSequence, vocab: Vocabulary) -> DnaSequence:
     """Invert an overlapping encoding.
 
     Requires k-mer ids only and adjacent tokens that overlap consistently
-    (the k-1 suffix of token t equals the k-1 prefix of token t+1).
+    (the k-1 suffix of token t equals the k-1 prefix of token t+1).  An id
+    outside the vocabulary raises ``IndexError``.
     """
     if tokens.strategy is not Strategy.OVERLAPPING:
         raise ConfigInvalid(f"cannot decode strategy {tokens.strategy.value!r} as overlapping")
-    if len(tokens.ids) == 0:
+    ids = np.asarray(tokens.ids, dtype=np.int64)
+    if len(ids) == 0:
         raise SequenceTooShort("cannot decode an empty token sequence")
-    kmers = []
-    for tid in tokens.ids:
-        if tid < vocab.first_kmer_id:
-            raise SpecialTokenPresent(f"id {tid} ({vocab.token(tid)}) is not a k-mer")
-        kmers.append(vocab.token(tid))
-    for prev, cur in zip(kmers, kmers[1:]):
-        if prev[1:] != cur[:-1]:
-            raise InconsistentOverlap(f"{prev} does not overlap {cur} by k-1 bases")
-    bases = "".join(km[0] for km in kmers) + kmers[-1][1:]
-    return DnaSequence(id="decoded", bases=bases)
+    not_kmer = np.flatnonzero((ids < vocab.first_kmer_id) | (ids >= vocab.size))
+    if not_kmer.size:
+        tid = int(ids[not_kmer[0]])
+        # token() raises IndexError first if tid is outside the vocabulary.
+        raise SpecialTokenPresent(f"id {tid} ({vocab.token(tid)}) is not a k-mer")
+    values = ids - vocab.first_kmer_id
+    broken = np.flatnonzero(values[:-1] % 4 ** (vocab.k - 1) != values[1:] // 4)
+    if broken.size:
+        prev, cur = (vocab.token(int(ids[i])) for i in (broken[0], broken[0] + 1))
+        raise InconsistentOverlap(f"{prev} does not overlap {cur} by k-1 bases")
+    # Each k-mer contributes its first base; the last one also its other k-1.
+    leading = _LETTERS[values >> 2 * (vocab.k - 1)].tobytes().decode("ascii")
+    return DnaSequence(id="decoded", bases=leading + vocab.token(int(ids[-1]))[1:])
 
 
 def wrap_for_model(
@@ -238,11 +232,3 @@ def prepare_frames(
         ids_rows.append(framed)
         real_rows.append(real)
     return np.stack(ids_rows), np.stack(real_rows)
-
-
-def central_dinucleotide(kmer: str) -> str:
-    """The two central bases of an even-length k-mer (bases k/2-1 and k/2)."""
-    k = len(kmer)
-    if k < 2 or k % 2:
-        raise ConfigInvalid(f"central dinucleotide needs even k >= 2, got {k}")
-    return kmer[k // 2 - 1 : k // 2 + 1]

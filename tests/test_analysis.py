@@ -206,6 +206,14 @@ class TestEmbeddingSilhouette:
         counts = np.bincount(groups)
         assert counts.shape == (16,) and (counts == 256).all()
 
+    def test_groups_are_central_dinucleotide_rank(self):
+        # Written out independently: 6-mers and dinucleotides in lex order.
+        pairs = ["".join(p) for p in itertools.product("ACGT", repeat=2)]
+        kmers = ["".join(p) for p in itertools.product("ACGT", repeat=6)]
+        want = [pairs.index(kmer[2:4]) for kmer in kmers]
+        groups = dinucleotide_groups()
+        assert groups.dtype == np.int64 and groups.tolist() == want
+
 
 class TestStageJumpDetector:
     def schedule(self):

@@ -13,7 +13,7 @@ import pytest
 
 from dnamlm.cli import main
 from dnamlm.config import RunConfig, run_config_from_dict
-from dnamlm.errors import ConfigInvalid
+from dnamlm.errors import ConfigInvalid, KOutOfRange
 
 
 class TestRunConfig:
@@ -171,6 +171,34 @@ class TestCliTokenize:
         assert main(["tokenize", str(p)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidBase"
 
+    def test_lenient_maps_invalid_base_to_n(self, tmp_path, capsys):
+        p = tmp_path / "bad.fa"
+        p.write_text(">r\nACXTACGT\n", encoding="utf-8")
+        assert main(["tokenize", str(p), "--k", "3", "--lenient"]) == 0
+        assert capsys.readouterr().out.split()[:3] == ["1", "1", "1"]
+
+    def test_k_out_of_range_is_usage_error(self, fasta_file, capsys):
+        assert main(["tokenize", fasta_file, "--k", "9"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "KOutOfRange" and "got 9" in err["message"]
+
+    @pytest.mark.parametrize("flag,arg,section,key,value", [
+        ("--k", "4", "tokenizer", "k", 4),
+        ("--strategy", "samelength", "tokenizer", "strategy", "samelength"),
+        ("--lenient", None, "corpus", "lenient", True),
+    ])
+    def test_flags_are_run_config_keys(self, flag, arg, section, key, value):
+        from dnamlm import cli
+
+        argv = ["tokenize", "in.fa", flag] + ([arg] if arg else [])
+        run = cli._load_run_config(cli.build_parser().parse_args(argv))
+        want = RunConfig().to_dict()
+        assert want[section][key] != value
+        want[section][key] = value
+        assert run.to_dict() == want
+        declared = {opt for a in _subparser("tokenize")._actions for opt in a.option_strings}
+        assert declared == {"-h", "--help", "--k", "--strategy", "--lenient", "--out"}
+
 
 class TestCliMaskStats:
     def test_stage0_widths_only_six(self, tmp_path):
@@ -307,6 +335,73 @@ def test_optimizer_and_k_flags_checked_on_load(flags, words, capsys):
     assert words in json.loads(capsys.readouterr().err)["message"]
 
 
+# Every int-annotated key of the run config, written out.
+INTEGER_KEYS = [
+    ("corpus", "num_sequences"), ("corpus", "sequence_length"),
+    ("corpus", "window_length"), ("corpus", "window_stride"),
+    ("tokenizer", "k"),
+    ("masking", "base_width"), ("masking", "width_increment"),
+    ("model", "num_layers"), ("model", "num_heads"), ("model", "hidden_dim"),
+    ("model", "ff_dim"), ("model", "max_len"),
+    ("training", "total_steps"), ("training", "batch_size"), ("training", "seed"),
+    ("finetune", "epochs"), ("finetune", "batch_size"),
+]
+
+
+class TestIntegerKeys:
+    def test_list_covers_every_int_annotated_key(self):
+        found = [
+            (section.name, f.name)
+            for section in dataclasses.fields(RunConfig)
+            for f in dataclasses.fields(section.default_factory)
+            if f.type in ("int", "int | None")
+        ]
+        assert sorted(found) == sorted(INTEGER_KEYS)
+
+    @pytest.mark.parametrize("section,key", INTEGER_KEYS)
+    @pytest.mark.parametrize("value", [6.5, 16.0, True])
+    def test_non_integer_rejected_on_load_and_override(self, section, key, value, tmp_path,
+                                                       capsys):
+        with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
+            run_config_from_dict({section: {key: value}})
+        with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
+            RunConfig().override(section, **{key: value})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+        assert main(["mask-stats", "--samples", "10", "--seq-len", "16",
+                     "--config", str(p)]) == 2
+        assert key in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("values", [
+        {"tokenizer": {"k": 6.5}},
+        {"tokenizer": {"k": True}},
+        {"training": {"batch_size": 2.5}},
+        {"model": {"num_layers": 1.5}},
+        {"corpus": {"num_sequences": 8.5}},
+    ])
+    def test_pretrain_exits_2_before_running(self, values, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(values), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", str(p), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] in ("ConfigInvalid", "KOutOfRange")
+        assert not out.exists()
+
+    def test_k_message_kept(self):
+        with pytest.raises(KOutOfRange, match=r"^k must be in \[1, 8\], got 6\.5$"):
+            run_config_from_dict({"tokenizer": {"k": 6.5}})
+
+    def test_float_keys_accept_integers_and_stride_accepts_null(self):
+        run = run_config_from_dict({
+            "corpus": {"window_stride": None, "max_n_fraction": 0},
+            "masking": {"p": 0},
+            "training": {"lr": 1, "weight_decay": 0},
+            "finetune": {"lr": 1},
+        })
+        assert run.corpus.window_stride is None and run.training.lr == 1
+        assert RunConfig().override("corpus", window_stride=None) == RunConfig()
+
+
 class TestCliPretrainAnalyze:
     def test_pretrain_outputs_and_resume(self, small_config, tmp_path, capsys):
         out = str(tmp_path / "runA")
@@ -416,6 +511,28 @@ class TestCliPretrainAnalyze:
 
     def test_analyze_missing_checkpoint_usage_error(self, capsys):
         assert main(["analyze", "--checkpoint", "/no/such/dir"]) == 2
+
+    # finetune warns and starts from random init when the path is absent.
+    @pytest.mark.parametrize("command,missing", [
+        ("analyze", True), ("analyze", False), ("pretrain", True), ("pretrain", False),
+        ("finetune", False),
+    ])
+    def test_unreadable_checkpoint_usage_error(self, command, missing, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        if not missing:
+            ckpt.mkdir()
+        data = tmp_path / "train.csv"
+        data.write_text("sequence,label\nACGTACGT,0\nTTGCATGC,1\n", encoding="utf-8")
+        argv = {
+            "analyze": ["analyze", "--checkpoint", str(ckpt)],
+            "pretrain": ["pretrain", "--resume", str(ckpt), "--out", str(tmp_path / "run")],
+            "finetune": ["finetune", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(tmp_path / "run")],
+        }[command]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and "cannot read checkpoint" in err["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_analyze_fresh_random_checkpoint_silhouette_near_zero(self, tmp_path, capsys):
         from dnamlm.config import run_config_from_dict

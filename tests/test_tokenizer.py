@@ -1,4 +1,6 @@
-import json
+import itertools
+from dataclasses import FrozenInstanceError, fields
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ from dnamlm.tokenizer import (
     SPECIAL_TOKENS,
     UNK_ID,
     Strategy,
+    TokenSequence,
     Vocabulary,
     build_vocab,
-    central_dinucleotide,
     decode_overlapping,
     encode_nonoverlapping,
     encode_overlapping,
@@ -38,6 +40,22 @@ def random_bases(rng, n: int) -> str:
     return "".join(rng.choice(list("ACGT"), size=n))
 
 
+@lru_cache(maxsize=None)
+def reference_table(k: int) -> tuple[str, ...]:
+    """The vocabulary written out: five special tokens, then every k-mer in lex order."""
+    specials = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
+    return specials + tuple("".join(p) for p in itertools.product("ACGT", repeat=k))
+
+
+@lru_cache(maxsize=None)
+def reference_ids(k: int) -> dict[str, int]:
+    return {t: i for i, t in enumerate(reference_table(k))}
+
+
+def kmer_id(v: Vocabulary, kmer: str) -> int:
+    return int(encode_overlapping(seq(kmer), v).ids[0])
+
+
 class TestVocabulary:
     def test_sizes(self):
         assert build_vocab(6).size == 4101
@@ -51,32 +69,48 @@ class TestVocabulary:
 
     def test_lexicographic_order(self):
         v = build_vocab(3)
-        assert v.id("AAA") == 5
-        assert v.id("AAC") == 6
-        assert v.id("TTT") == v.size - 1
+        assert kmer_id(v, "AAA") == 5
+        assert kmer_id(v, "AAC") == 6
+        assert kmer_id(v, "TTT") == v.size - 1
 
     def test_bijectivity(self):
         for k in (1, 2, 6):
             v = build_vocab(k)
-            for i in range(v.size):
-                assert v.id(v.token(i)) == i
+            for i in range(v.first_kmer_id, v.size):
+                assert kmer_id(v, v.token(i)) == i
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_token_matches_written_out_table(self, k):
+        v = build_vocab(k)
+        assert v.size == len(reference_table(k))
+        assert [v.token(i) for i in range(v.size)] == list(reference_table(k))
+
+    def test_token_outside_vocabulary_raises(self):
+        for k in (1, 3, 8):
+            v = build_vocab(k)
+            for bad in (-1, v.size, v.size + 7):
+                with pytest.raises(IndexError):
+                    v.token(bad)
+
+    def test_k_is_the_only_field(self):
+        v = build_vocab(6)
+        assert [f.name for f in fields(Vocabulary)] == ["k"]
+        assert v == Vocabulary(6) and hash(v) == hash(Vocabulary(6))
+        with pytest.raises(FrozenInstanceError):
+            v.k = 5
 
     def test_k_out_of_range(self):
         with pytest.raises(KOutOfRange):
             build_vocab(0)
-        with pytest.raises(KOutOfRange):
+        with pytest.raises(KOutOfRange, match=r"k must be in \[1, 8\], got 9"):
             build_vocab(9)
+        with pytest.raises(KOutOfRange):
+            Vocabulary(9)
 
-    def test_json_round_trip(self):
-        v = build_vocab(4)
-        obj = json.loads(v.to_json())
-        assert obj == {"k": 4, "special_tokens": list(SPECIAL_TOKENS), "ordering": "lex"}
-        w = Vocabulary.from_json(v.to_json())
-        assert w.size == v.size and w.token_to_id == v.token_to_id
-
-    def test_json_rejects_foreign_layout(self):
-        with pytest.raises(ConfigInvalid):
-            Vocabulary.from_json(json.dumps({"k": 3, "special_tokens": [], "ordering": "freq"}))
+    @pytest.mark.parametrize("k", [6.5, 6.0, True, "6", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(KOutOfRange):
+            build_vocab(k)
 
 
 class TestEncoders:
@@ -155,13 +189,14 @@ class TestEncoders:
 
 
 def lookup_overlapping(bases: str, v: Vocabulary) -> list[int]:
-    """Reference encoder: one vocabulary lookup per stride-1 k-mer."""
-    return [v.token_to_id.get(bases[i : i + v.k], UNK_ID) for i in range(len(bases) - v.k + 1)]
+    """Reference encoder: one written-out-table lookup per stride-1 k-mer."""
+    table = reference_ids(v.k)
+    return [table.get(bases[i : i + v.k], UNK_ID) for i in range(len(bases) - v.k + 1)]
 
 
 def lookup_nonoverlapping(bases: str, v: Vocabulary) -> list[int]:
-    return [v.token_to_id.get(bases[i : i + v.k], UNK_ID)
-            for i in range(0, len(bases) - v.k + 1, v.k)]
+    table = reference_ids(v.k)
+    return [table.get(bases[i : i + v.k], UNK_ID) for i in range(0, len(bases) - v.k + 1, v.k)]
 
 
 def lookup_same_length(bases: str, v: Vocabulary) -> list[int]:
@@ -209,20 +244,31 @@ class TestDecode:
         assert decode_overlapping(encode_overlapping(seq("ATG"), v), v).bases == "ATG"
 
     def test_inconsistent_overlap(self):
-        from dnamlm.tokenizer import TokenSequence
-
         v = build_vocab(3)
-        bad = TokenSequence(ids=[v.id("ATG"), v.id("GGG")], strategy=Strategy.OVERLAPPING, k=3)
-        with pytest.raises(InconsistentOverlap):
+        ids = [kmer_id(v, "AAT"), kmer_id(v, "ATG"), kmer_id(v, "GGG")]
+        bad = TokenSequence(ids=ids, strategy=Strategy.OVERLAPPING, k=3)
+        with pytest.raises(InconsistentOverlap, match="^ATG does not overlap GGG by k-1 bases$"):
             decode_overlapping(bad, v)
 
     def test_special_token_rejected(self):
-        from dnamlm.tokenizer import TokenSequence
-
         v = build_vocab(3)
         bad = TokenSequence(ids=[UNK_ID], strategy=Strategy.OVERLAPPING, k=3)
-        with pytest.raises(SpecialTokenPresent):
+        with pytest.raises(SpecialTokenPresent, match=r"^id 1 \(\[UNK\]\) is not a k-mer$"):
             decode_overlapping(bad, v)
+
+    def test_first_special_token_named_before_overlap(self):
+        v = build_vocab(2)
+        ids = [kmer_id(v, "AC"), kmer_id(v, "GG"), MASK_ID, PAD_ID]
+        bad = TokenSequence(ids=ids, strategy=Strategy.OVERLAPPING, k=2)
+        with pytest.raises(SpecialTokenPresent, match=r"^id 4 \(\[MASK\]\) is not a k-mer$"):
+            decode_overlapping(bad, v)
+
+    def test_id_outside_vocabulary_raises_index_error(self):
+        v = build_vocab(2)
+        for bad_id in (-1, v.size):
+            bad = TokenSequence(ids=[kmer_id(v, "AC"), bad_id], strategy=Strategy.OVERLAPPING, k=2)
+            with pytest.raises(IndexError):
+                decode_overlapping(bad, v)
 
     def test_strategy_precondition(self):
         v = build_vocab(3)
@@ -231,8 +277,6 @@ class TestDecode:
             decode_overlapping(tokens, v)
 
     def test_round_trip_on_array_ids(self):
-        from dnamlm.tokenizer import TokenSequence
-
         v = build_vocab(4)
         bases = "ACGTTGCAAGGCTTAC"
         ids = np.asarray(lookup_overlapping(bases, v), dtype=np.int64)
@@ -240,8 +284,6 @@ class TestDecode:
         assert decode_overlapping(tokens, v).bases == bases
 
     def test_empty_array_rejected(self):
-        from dnamlm.tokenizer import TokenSequence
-
         v = build_vocab(3)
         empty = TokenSequence(ids=np.empty(0, dtype=np.int64), strategy=Strategy.OVERLAPPING, k=3)
         with pytest.raises(SequenceTooShort):
@@ -249,10 +291,10 @@ class TestDecode:
 
     def test_round_trip_random_sequences(self):
         rng = np.random.default_rng(4)
-        for k in (1, 2, 3, 6):
+        for k in range(1, 9):
             v = build_vocab(k)
-            for _ in range(100):
-                bases = random_bases(rng, int(rng.integers(k, 50)))
+            for length in [k, k + 1, *rng.integers(k, 50, size=100), 2000]:
+                bases = random_bases(rng, int(length))
                 assert decode_overlapping(encode_overlapping(seq(bases), v), v).bases == bases
 
 
@@ -294,21 +336,3 @@ class TestWrapForModel:
         ids, _ = wrap_for_model(encode_overlapping(seq("ATGACG"), v), v, 8)
         assert ids[0] == CLS_ID and ids[5] == SEP_ID
 
-
-class TestCentralDinucleotide:
-    def test_basic(self):
-        assert central_dinucleotide("ATGACG") == "GA"
-        assert central_dinucleotide("AC") == "AC"
-
-    def test_odd_k_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            central_dinucleotide("ACG")
-
-    def test_partition_16_groups_of_256(self):
-        v = build_vocab(6)
-        groups: dict[str, int] = {}
-        for i in range(v.first_kmer_id, v.size):
-            groups.setdefault(central_dinucleotide(v.token(i)), 0)
-            groups[central_dinucleotide(v.token(i))] += 1
-        assert len(groups) == 16
-        assert set(groups.values()) == {256}
