@@ -50,7 +50,6 @@ from .model import (
     init_optimizer,
     load_checkpoint,
     mlm_loss,
-    param_count,
     save_checkpoint,
     train_step,
 )

@@ -44,22 +44,6 @@ class ConfusionCounts:
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
             raise ConfigInvalid("confusion counts must be non-negative")
 
-    @classmethod
-    def from_predictions(cls, labels: Sequence[int], preds: Sequence[int]) -> "ConfusionCounts":
-        if len(labels) != len(preds):
-            raise LengthMismatch(f"{len(labels)} labels vs {len(preds)} predictions")
-        tp = tn = fp = fn = 0
-        for y, p in zip(labels, preds):
-            if y == 1 and p == 1:
-                tp += 1
-            elif y == 0 and p == 0:
-                tn += 1
-            elif y == 0 and p == 1:
-                fp += 1
-            else:
-                fn += 1
-        return cls(tp, tn, fp, fn)
-
 
 def mcc(counts: ConfusionCounts) -> float:
     """(TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FP)(TN+FN)), in [-1, 1].
@@ -294,12 +278,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        obj = json.loads(text)
-        records = [StepRecord(**r) for r in obj.pop("records")]
-        return cls(records=records, **obj)
-
     def loss_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -319,8 +297,3 @@ def emit_report(report: RunReport, directory: str) -> tuple[str, str]:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(report.loss_csv())
     return json_path, csv_path
-
-
-def load_report(json_path: str) -> RunReport:
-    with open(json_path, "r", encoding="utf-8") as fh:
-        return RunReport.from_json(fh.read())

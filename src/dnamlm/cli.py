@@ -24,6 +24,7 @@ from .corpus import load_labeled, parse_fasta
 from .errors import (
     ConfigInvalid,
     DnaMlmError,
+    EmptyDataset,
     EmptyInput,
     InvalidBase,
     KOutOfRange,
@@ -60,6 +61,7 @@ USAGE_ERRORS = (
     MalformedFasta,
     InvalidBase,
     EmptyInput,
+    EmptyDataset,
     MissingHeader,
     NonIntegerLabel,
     KOutOfRange,
@@ -160,7 +162,9 @@ def cmd_mask_stats(args: argparse.Namespace) -> int:
         rng = split(run.training.seed, STREAM_MASK, step, i)
         plan = plan_mask(seq_len, step, p, schedule, rng)
         width_hist[plan.width_m] = width_hist.get(plan.width_m, 0) + 1
-        for length, count in span_length_histogram(plan.as_bool()).items():
+        row = np.zeros(seq_len, dtype=bool)
+        row[plan.mask_ids] = True
+        for length, count in span_length_histogram(row).items():
             span_hist[length] = span_hist.get(length, 0) + count
         masked_total += plan.mask_ids.size
 

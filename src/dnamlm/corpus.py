@@ -11,7 +11,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -77,22 +77,14 @@ def normalize_bases(raw: str, lenient: bool = False) -> str:
     return "".join(c if c in VALID_BASES else "N" for c in up)
 
 
-def _iter_lines(stream: str | bytes | IO[str]) -> Iterable[str]:
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    return stream
-
-
-def parse_fasta(stream: str | bytes | IO[str], lenient: bool = False) -> list[DnaSequence]:
+def parse_fasta(stream: str | IO[str], lenient: bool = False) -> list[DnaSequence]:
     """Parse FASTA text into a list of sequences, preserving record order.
 
     Sequence lines belonging to one header are concatenated (wrapped FASTA),
     then uppercased and checked once per record.  Blank lines are ignored.
 
     Args:
-        stream: FASTA text, raw bytes, or an open text handle.
+        stream: FASTA text or an open text handle.
         lenient: map letters outside {A,C,G,T,N} to N instead of raising.
 
     Raises:
@@ -110,7 +102,7 @@ def parse_fasta(stream: str | bytes | IO[str], lenient: bool = False) -> list[Dn
             bases = "".join("".join(parts).split())
             records.append(DnaSequence(id=header, bases=normalize_bases(bases, lenient)))
 
-    for line in _iter_lines(stream):
+    for line in io.StringIO(stream) if isinstance(stream, str) else stream:
         line = line.strip()
         if not line:
             continue
@@ -136,26 +128,23 @@ def sample_windows(
     mode: str = "tiled",
     *,
     stride: int | None = None,
-    count: int | None = None,
-    rng: np.random.Generator | None = None,
     max_n_fraction: float = DEFAULT_MAX_N_FRACTION,
 ) -> list[DnaSequence]:
-    """Extract fixed-length windows from a sequence.
+    """Tile fixed-length windows over a sequence.
 
-    Tiled mode starts windows at 0, stride, 2*stride, ...; random mode draws
-    ``count`` uniform start offsets.  Windows whose fraction of N exceeds
-    ``max_n_fraction`` are dropped.  A window longer than the sequence is
-    not an error: it yields an empty list and a logged warning.
+    Windows start at 0, stride, 2*stride, ...; those whose fraction of N
+    exceeds ``max_n_fraction`` are dropped.  A window longer than the
+    sequence is not an error: it yields an empty list and a logged warning.
 
     Args:
         seq: source sequence.
         window_len: window size in nucleotides, >= 1.
-        mode: "tiled" or "random".
-        stride: tiled-mode step, defaults to ``window_len`` (no overlap).
-        count: number of windows to draw in random mode.
-        rng: generator for random mode.
+        mode: must be "tiled", the only windowing mode.
+        stride: step between window starts, defaults to ``window_len`` (no overlap).
         max_n_fraction: N-content threshold above which a window is dropped.
     """
+    if mode != "tiled":
+        raise ConfigInvalid(f"unknown windowing mode {mode!r}")
     if window_len < 1:
         raise ConfigInvalid(f"window_len must be >= 1, got {window_len}")
     if window_len > len(seq):
@@ -165,22 +154,14 @@ def sample_windows(
         )
         return []
 
-    if mode == "tiled":
-        if stride is None:
-            stride = window_len
-        if stride < 1:
-            raise ConfigInvalid(f"stride must be >= 1, got {stride}")
-        starts: Sequence[int] = range(0, len(seq) - window_len + 1, stride)
-    elif mode == "random":
-        if count is None or rng is None:
-            raise ConfigInvalid("random mode requires count and rng")
-        starts = rng.integers(0, len(seq) - window_len + 1, size=count).tolist()
-    else:
-        raise ConfigInvalid(f"unknown windowing mode {mode!r}")
+    if stride is None:
+        stride = window_len
+    if stride < 1:
+        raise ConfigInvalid(f"stride must be >= 1, got {stride}")
 
     windows: list[DnaSequence] = []
     dropped = 0
-    for s in starts:
+    for s in range(0, len(seq) - window_len + 1, stride):
         bases = seq.bases[s : s + window_len]
         if bases.count("N") / window_len > max_n_fraction:
             dropped += 1
@@ -260,7 +241,7 @@ LABELED_HEADER = ("sequence", "label")
 
 
 def load_labeled(
-    source: str | IO[str], lenient: bool = False
+    source: IO[str], lenient: bool = False
 ) -> tuple[list[LabeledExample], int]:
     """Load a labeled CSV with header ``sequence,label``.
 
@@ -268,13 +249,9 @@ def load_labeled(
     (0 for an empty file).  Labels must be non-negative integers.
 
     Args:
-        source: a path or an open text handle.
+        source: an open text handle.
         lenient: forwarded to base normalization.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_labeled(fh, lenient=lenient)
-
     reader = csv.reader(source)
     try:
         header = next(reader)

@@ -95,18 +95,14 @@ def allowed_widths(step: int, schedule: MaskSchedule) -> list[int]:
 
 @dataclass
 class MaskPlan:
-    """Concrete mask for one sequence at one step."""
+    """Concrete mask for one sequence at one step.
+
+    ``mask_ids`` holds the masked positions in ascending order; ``width_m``
+    is the span width drawn for the step.
+    """
 
     mask_ids: np.ndarray
     width_m: int
-    step: int
-    trigger_centers: np.ndarray
-    seq_len: int
-
-    def as_bool(self) -> np.ndarray:
-        out = np.zeros(self.seq_len, dtype=bool)
-        out[self.mask_ids] = True
-        return out
 
 
 def _span_union(
@@ -148,13 +144,7 @@ def plan_mask(
     m = int(widths[int(rng.integers(0, len(widths)))])
     r = np.asarray(rng.random(seq_len))
     centers = np.flatnonzero(r <= p) if p > 0.0 else np.empty(0, dtype=np.int64)
-    return MaskPlan(
-        mask_ids=_span_union(seq_len, centers, m, exclude),
-        width_m=m,
-        step=step,
-        trigger_centers=centers,
-        seq_len=seq_len,
-    )
+    return MaskPlan(mask_ids=_span_union(seq_len, centers, m, exclude), width_m=m)
 
 
 @dataclass(frozen=True)
@@ -242,13 +232,6 @@ def expected_mask_fraction(p: float, m: int, seq_len: int) -> ExpectedMaskFracti
         interior=float(1.0 - (1.0 - p) ** m),
         sequence_average=float(per_position.mean()),
     )
-
-
-def interior_positions(seq_len: int, m: int) -> np.ndarray:
-    """Positions whose full set of m potential centers fits in the sequence."""
-    half = m // 2
-    t = np.arange(seq_len)
-    return t[(t - half >= 0) & (t + half - 1 <= seq_len - 1)]
 
 
 def span_length_histogram(mask_bool: np.ndarray) -> dict[int, int]:

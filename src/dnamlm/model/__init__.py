@@ -1,6 +1,6 @@
 """Desk-scale transformer-encoder MLM with analytic gradients."""
 
-from .config import ModelConfig, param_count, param_shapes
+from .config import ModelConfig, param_shapes
 from .params import ModelParams, init_model
 from .network import Batch, ForwardTrace, backward, forward, mlm_loss
 from .optimizer import OptimizerState, adamw_step, init_optimizer
@@ -15,7 +15,6 @@ __all__ = [
     "OptimizerState",
     "FinetuneConfig",
     "Checkpoint",
-    "param_count",
     "param_shapes",
     "init_model",
     "forward",

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigInvalid
-from .config import ModelConfig
+from .config import ModelConfig, param_shapes
 from .optimizer import OptimizerState
 from .params import ModelParams
 
@@ -91,7 +91,13 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
-    """Read a checkpoint back; arrays compare bit-equal to what was saved."""
+    """Read a checkpoint back; arrays compare bit-equal to what was saved.
+
+    A checkpoint that cannot be read, whose manifest is not valid JSON,
+    lacks a key or holds one of the wrong type, whose parameter or moment
+    tensors do not match its model config, or whose blob is shorter than
+    the manifest says raises :class:`ConfigInvalid`.
+    """
     try:
         with open(os.path.join(directory, MANIFEST_NAME), "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -99,28 +105,48 @@ def load_checkpoint(directory: str) -> Checkpoint:
             blob = fh.read()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read checkpoint {directory!r}: {exc}") from None
-    if manifest.get("schema") != SCHEMA_VERSION:
-        raise ConfigInvalid(f"unsupported checkpoint schema {manifest.get('schema')!r}")
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ConfigInvalid(
+            f"checkpoint {directory!r} manifest is not valid JSON: {exc}"
+        ) from None
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise ConfigInvalid(f"unsupported checkpoint schema {schema!r}")
+    try:
+        return _decode(manifest, blob)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"malformed checkpoint manifest in {directory!r}: {exc!r}") from None
 
+
+def _decode(manifest: dict, blob: bytes) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:
-        raw = blob[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"])
+        start = entry["offset"]
+        end = start + entry["nbytes"]
+        if end > len(blob):
+            raise ConfigInvalid(
+                f"{BLOB_NAME} holds {len(blob)} bytes but tensor {entry['name']!r} ends at {end}"
+            )
+        arr = np.frombuffer(blob[start:end], dtype=entry["dtype"]).reshape(entry["shape"])
         arrays[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
 
     config = ModelConfig(**manifest["model_config"])
-    params = ModelParams(
-        config=config,
-        arrays={n[len("param."):]: a for n, a in arrays.items() if n.startswith("param.")},
-    )
+    shapes = param_shapes(config)
+
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        out = {n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}
+        if {n: a.shape for n, a in out.items()} != shapes:
+            raise ConfigInvalid(f"checkpoint {prefix}* tensors do not match its model config")
+        return out
+
+    params = ModelParams(config=config, arrays=group("param."))
     opt_state = None
     if manifest["optimizer"] is not None:
         opt = manifest["optimizer"]
         opt_state = OptimizerState(
             lr=opt["lr"], beta1=opt["beta1"], beta2=opt["beta2"],
             weight_decay=opt["weight_decay"], eps=opt["eps"], step=opt["step"],
-            m={n[len("opt.m."):]: a for n, a in arrays.items() if n.startswith("opt.m.")},
-            v={n[len("opt.v."):]: a for n, a in arrays.items() if n.startswith("opt.v.")},
+            m=group("opt.m."), v=group("opt.v."),
         )
     return Checkpoint(
         params=params,

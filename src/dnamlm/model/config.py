@@ -47,9 +47,8 @@ class ModelConfig(ModelSettings):
     """Shapes and training-relevant constants of the encoder.
 
     The defaults are the desk-scale configuration (2 layers, 64 hidden,
-    4 heads).  The full-scale reference (12 layers, 768 hidden, 12 heads)
-    is constructible via :meth:`full_scale_reference` for shape checks but
-    is not a practical desk target.
+    4 heads); with the k=6 vocabulary (4,101 tokens) it holds 636,807
+    parameters.
     """
 
     vocab_size: int
@@ -66,20 +65,6 @@ class ModelConfig(ModelSettings):
     @property
     def head_dim(self) -> int:
         return self.hidden_dim // self.num_heads
-
-    @classmethod
-    def full_scale_reference(cls, vocab_size: int = 4101, **overrides) -> "ModelConfig":
-        """The 12-layer / 768-hidden / 12-head configuration."""
-        base = dict(
-            vocab_size=vocab_size,
-            num_layers=12,
-            num_heads=12,
-            hidden_dim=768,
-            ff_dim=3072,
-            max_len=512,
-        )
-        base.update(overrides)
-        return cls(**base)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -115,18 +100,3 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["cls_w"] = (d, config.num_classes)
     shapes["cls_b"] = (config.num_classes,)
     return shapes
-
-
-def param_count(config: ModelConfig) -> int:
-    """Total number of scalar parameters for a configuration.
-
-    The default desk configuration with the k=6 vocabulary (4,101 tokens)
-    has exactly 636,807 parameters.
-    """
-    total = 0
-    for shape in param_shapes(config).values():
-        n = 1
-        for s in shape:
-            n *= s
-        total += n
-    return total

@@ -10,6 +10,9 @@ from ..errors import ConfigInvalid
 from ..rng import STREAM_INIT, split
 from .config import ModelConfig, param_shapes
 
+#: Standard deviation of the truncated-normal weight initialization.
+INIT_STD = 0.02
+
 
 @dataclass
 class ModelParams:
@@ -23,9 +26,6 @@ class ModelParams:
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         self.arrays[name] = value
-
-    def names(self) -> list[str]:
-        return list(self.arrays)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.arrays.items()})
@@ -54,11 +54,11 @@ def truncated_normal(
     return (out * std).astype(dtype)
 
 
-def init_model(config: ModelConfig, std: float = 0.02) -> ModelParams:
+def init_model(config: ModelConfig) -> ModelParams:
     """Initialize parameters deterministically from ``config.seed``.
 
-    Weight matrices and embeddings use a truncated normal (std 0.02 by
-    default); biases and layer-norm shifts start at 0, layer-norm scales
+    Weight matrices and embeddings use a truncated normal of std
+    ``INIT_STD``; biases and layer-norm shifts start at 0, layer-norm scales
     at 1.  The same seed always yields bit-identical arrays.
     """
     rng = split(config.seed, STREAM_INIT)
@@ -71,7 +71,7 @@ def init_model(config: ModelConfig, std: float = 0.02) -> ModelParams:
         elif leaf in ("b1", "b2", "ln1_b", "ln2_b", "mlm_b", "cls_b"):
             arrays[name] = np.zeros(shape, dtype=dtype)
         else:
-            arrays[name] = truncated_normal(rng, shape, std, dtype)
+            arrays[name] = truncated_normal(rng, shape, INIT_STD, dtype)
     params = ModelParams(config=config, arrays=arrays)
     params.check_finite()
     return params

@@ -64,6 +64,9 @@ from .tokenizer import (
 
 CHECKPOINT_DIRNAME = "checkpoint"
 
+#: Sequences in the attention probe batch.
+PROBE_SEQUENCES = 16
+
 
 def schedule_from_config(run: RunConfig) -> MaskSchedule:
     """The run's mask schedule: staged for RandomMask, one stage of width k for the baseline.
@@ -191,26 +194,31 @@ def attention_probe(
     vocab: Vocabulary,
     frames: tuple[np.ndarray, np.ndarray],
     step: int,
-    num_sequences: int = 16,
 ) -> dict:
     """Attention diagnostics on a deterministic probe batch at ``step``.
 
     Masks are drawn from the probe stream (not the training stream), the
     trace comes from a full forward pass, and metrics average over masked
-    query positions per the under-training analysis.
+    query positions per the under-training analysis.  A probe batch with
+    no masked position (``p`` of 0, or a tiny ``p``) has no queries to
+    average over: its ``cls_mass`` and ``entropy`` are None.
     """
     frames_ids, frames_real = frames
     seed = run.training.seed
-    chosen = split(seed, STREAM_PROBE, 0).integers(0, frames_ids.shape[0], size=num_sequences)
+    chosen = split(seed, STREAM_PROBE, 0).integers(0, frames_ids.shape[0], size=PROBE_SEQUENCES)
     ids, labels, _plans = _corrupt_rows(
         frames_ids, chosen, step, run.masking.p, schedule, policy, vocab,
         lambda slot: split(seed, STREAM_PROBE, 1 + slot),
     )
-    trace = forward(params, ids, frames_real[chosen])
     masked = labels != IGNORE_LABEL
+    cls_mass = entropy = None
+    if masked.any():
+        trace = forward(params, ids, frames_real[chosen])
+        cls_mass = [float(v) for v in attention_cls_mass(trace, masked)]
+        entropy = [float(v) for v in attention_entropy(trace, masked)]
     return {
-        "cls_mass": [float(v) for v in attention_cls_mass(trace, masked)],
-        "entropy": [float(v) for v in attention_entropy(trace, masked)],
+        "cls_mass": cls_mass,
+        "entropy": entropy,
         "num_masked_queries": int(masked.sum()),
         "probe_step": int(step),
     }

@@ -534,6 +534,60 @@ class TestCliPretrainAnalyze:
         assert err["error"] == "ConfigInvalid" and "cannot read checkpoint" in err["message"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("damage,words", [
+        ("manifest_not_json", "not valid JSON"),
+        ("manifest_missing_keys", "'tensors'"),
+        ("params_truncated", "ends at"),
+        ("param_dropped", "do not match"),
+        ("moment_dropped", "do not match"),
+    ])
+    def test_malformed_checkpoint_usage_error(self, damage, words, small_config, tmp_path,
+                                              capsys):
+        ckpt = tmp_path / "run" / "checkpoint"
+        assert main(["pretrain", "--config", small_config, "--stop-after", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+        if damage == "manifest_not_json":
+            (ckpt / "manifest.json").write_text("{", encoding="utf-8")
+        elif damage == "manifest_missing_keys":
+            (ckpt / "manifest.json").write_text('{"schema": 1}', encoding="utf-8")
+        elif damage == "params_truncated":
+            with open(ckpt / "params.bin", "r+b") as fh:
+                fh.truncate(1001)
+        else:
+            dropped = {"param_dropped": "param.pos_emb", "moment_dropped": "opt.v.pos_emb"}[damage]
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != dropped]
+            (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        data = tmp_path / "train.csv"
+        data.write_text("sequence,label\nACGTACGT,0\nTTGCATGC,1\n", encoding="utf-8")
+        capsys.readouterr()
+        for argv in (
+            ["analyze", "--checkpoint", str(ckpt)],
+            ["pretrain", "--config", small_config, "--resume", str(ckpt),
+             "--out", str(tmp_path / "resumed")],
+            ["finetune", "--checkpoint", str(ckpt), "--data", str(data),
+             "--out", str(tmp_path / "ft")],
+        ):
+            assert main(argv) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            err = json.loads(line)
+            assert err["error"] == "ConfigInvalid" and words in err["message"]
+        assert not (tmp_path / "resumed").exists() and not (tmp_path / "ft").exists()
+
+    def test_pretrain_p_zero_writes_null_attention(self, small_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["pretrain", "--config", small_config, "--p", "0", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["attention"] == {
+            "cls_mass": None, "entropy": None, "num_masked_queries": 0, "probe_step": 18,
+        }
+        assert len((out / "loss.csv").read_text().splitlines()) == 19
+        assert (out / "checkpoint" / "params.bin").exists()
+        capsys.readouterr()
+        assert main(["analyze", "--checkpoint", str(out / "checkpoint")]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert {k: obj[k] for k in report["attention"]} == report["attention"]
+
     def test_analyze_fresh_random_checkpoint_silhouette_near_zero(self, tmp_path, capsys):
         from dnamlm.config import run_config_from_dict
         from dnamlm.model import ModelConfig, init_model, save_checkpoint
@@ -600,6 +654,15 @@ class TestCliFinetune:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid"
         assert "dropout_rate" in err["message"]
+
+    def test_finetune_header_only_csv_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("sequence,label\n", encoding="utf-8")
+        out = tmp_path / "ft"
+        assert main(["finetune", "--data", str(data), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "EmptyDataset"
+        assert not out.exists()
 
     def test_finetune_negative_lr_is_usage_error(self, labeled_csv, tmp_path, capsys):
         out = str(tmp_path / "ft")

@@ -21,7 +21,6 @@ from dnamlm.errors import (
     MissingHeader,
     NonIntegerLabel,
 )
-from dnamlm.rng import split
 
 
 class TestParseFasta:
@@ -54,8 +53,7 @@ class TestParseFasta:
         with pytest.raises(EmptyInput):
             parse_fasta("\n  \n")
 
-    def test_bytes_and_handle_inputs(self):
-        assert parse_fasta(b">r\nACGT")[0].bases == "ACGT"
+    def test_text_handle_input(self):
         assert parse_fasta(io.StringIO(">r\nACGT"))[0].bases == "ACGT"
 
     def test_whitespace_in_sequence_lines_stripped(self):
@@ -125,15 +123,12 @@ class TestSampleWindows:
             wins = sample_windows(DnaSequence("s", bases), wl)
             assert "".join(w.bases for w in wins) == bases[: wl * (length // wl)]
 
-    def test_random_mode(self):
+    def test_only_tiled_mode_accepted(self):
         seq = DnaSequence("s", "ACGTACGTACGT")
-        wins = sample_windows(seq, 4, mode="random", count=5, rng=split(0, 9))
-        assert len(wins) == 5
-        assert all(len(w.bases) == 4 and w.bases in seq.bases for w in wins)
-
-    def test_random_mode_requires_count_and_rng(self):
-        with pytest.raises(ConfigInvalid):
-            sample_windows(DnaSequence("s", "ACGT"), 2, mode="random")
+        assert [w.bases for w in sample_windows(seq, 4, "tiled", stride=4)] == ["ACGT"] * 3
+        for mode in ("random", "bogus"):
+            with pytest.raises(ConfigInvalid, match="windowing mode"):
+                sample_windows(seq, 4, mode)
 
 
 class TestGenerateSynthetic:
@@ -203,12 +198,6 @@ class TestLoadLabeled:
     def test_crlf_line_endings(self):
         examples, n = load_labeled(io.StringIO("sequence,label\r\nACGT,0\r\nTTTT,1\r\n"))
         assert n == 2 and len(examples) == 2
-
-    def test_from_path(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("sequence,label\nACGT,3\n", encoding="utf-8")
-        examples, n = load_labeled(str(p))
-        assert n == 4 and examples[0].label == 3
 
 
 def test_normalize_bases_modes():

@@ -14,10 +14,15 @@ from dnamlm.model import (
     forward,
     init_model,
     mlm_loss,
-    param_count,
-    param_shapes,
 )
 from dnamlm.model.network import _contract
+
+
+def closed_form_param_count(cfg: ModelConfig) -> int:
+    d, f, v, m, c = cfg.hidden_dim, cfg.ff_dim, cfg.vocab_size, cfg.max_len, cfg.num_classes
+    per_layer = 4 * d * d + d * f + f + f * d + d + 4 * d
+    mlm = (0 if cfg.tie_embeddings else d * v) + v
+    return v * d + m * d + cfg.num_layers * per_layer + mlm + d * c + c
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -55,39 +60,29 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             ModelConfig(vocab_size=21, dtype="float16")
 
-    def test_full_scale_reference_constructible(self):
-        cfg = ModelConfig.full_scale_reference()
-        assert (cfg.num_layers, cfg.hidden_dim, cfg.num_heads) == (12, 768, 12)
-        shapes = param_shapes(cfg)
-        assert shapes["layer11.w1"] == (768, 3072)
-        assert param_count(cfg) > 80_000_000
-
     def test_param_count_default_closed_form(self):
         cfg = ModelConfig(vocab_size=4101)
-        d, f, v, m, c, layers = 64, 256, 4101, 128, 2, 2
-        per_layer = 4 * d * d + d * f + f + f * d + d + 4 * d
-        expected = v * d + m * d + layers * per_layer + d * v + v + d * c + c
-        assert expected == 636_807
-        assert param_count(cfg) == expected
+        assert closed_form_param_count(cfg) == 636_807
+        assert sum(a.size for a in init_model(cfg).arrays.values()) == 636_807
 
     def test_param_count_matches_arrays(self):
-        cfg = tiny_config()
-        params = init_model(cfg)
-        assert sum(a.size for a in params.arrays.values()) == param_count(cfg)
+        for cfg in (tiny_config(), tiny_config(tie_embeddings=True)):
+            params = init_model(cfg)
+            assert sum(a.size for a in params.arrays.values()) == closed_form_param_count(cfg)
 
 
 class TestInit:
     def test_deterministic_bit_identical(self):
         a = init_model(tiny_config(seed=5))
         b = init_model(tiny_config(seed=5))
-        assert a.names() == b.names()
-        for name in a.names():
+        assert list(a.arrays) == list(b.arrays)
+        for name in a.arrays:
             assert np.array_equal(a[name], b[name])
 
     def test_different_seed_differs(self):
         a = init_model(tiny_config(seed=5))
         b = init_model(tiny_config(seed=6))
-        assert any(not np.array_equal(a[n], b[n]) for n in a.names())
+        assert any(not np.array_equal(a[n], b[n]) for n in a.arrays)
 
     def test_truncated_normal_bounds_and_layernorm_init(self):
         params = init_model(ModelConfig(vocab_size=4101, seed=1))

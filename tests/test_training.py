@@ -135,7 +135,7 @@ class TestCheckpoint:
         assert ck.step == 5
         assert ck.run_config == run_cfg
         assert ck.params.config == params.config
-        for name in params.names():
+        for name in params.arrays:
             assert np.array_equal(ck.params[name], params[name])
             assert ck.params[name].dtype == params[name].dtype
             assert np.array_equal(ck.opt_state.m[name], opt.m[name])
