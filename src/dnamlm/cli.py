@@ -214,7 +214,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     with _open_input(args.data) as fh:
         examples, num_classes = load_labeled(fh, lenient=run.corpus.lenient)
 
-    if args.checkpoint and os.path.isdir(args.checkpoint):
+    if args.checkpoint and os.path.exists(args.checkpoint):
         params = load_checkpoint(args.checkpoint).params
         if params.config.vocab_size != vocab.size:
             raise ConfigInvalid(

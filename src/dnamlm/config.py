@@ -3,7 +3,8 @@
 A run config has six sections (corpus, tokenizer, masking, model, training,
 finetune), each with documented defaults.  Unknown keys are rejected, CLI
 flags override file values, and the merged effective config is echoed into
-every report and checkpoint for provenance.
+every report and checkpoint for provenance.  Each key's type is declared
+once, by its field's annotation, and checked by ``model.config.check_types``.
 
 The ``model`` and ``finetune`` sections are the model layer's own
 ``ModelSettings`` and ``FinetuneSettings``, as ``masking.policy`` is a
@@ -12,12 +13,13 @@ The ``model`` and ``finetune`` sections are the model layer's own
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, get_type_hints
 
+from .corpus import DEFAULT_MAX_N_FRACTION, check_synthetic_settings
 from .errors import ConfigInvalid
 from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
-from .model.config import ModelSettings
+from .model.config import ModelSettings, check_types, type_checks
 from .model.optimizer import check_hyperparameters
 from .model.training import FinetuneSettings
 from .tokenizer import Strategy, check_k
@@ -32,11 +34,11 @@ class CorpusSection:
     lenient: bool = False
     num_sequences: int = 256
     sequence_length: int = 512
-    motifs: tuple = DEFAULT_MOTIFS
-    background: tuple = (0.25, 0.25, 0.25, 0.25)
+    motifs: tuple[tuple[str, float], ...] = DEFAULT_MOTIFS
+    background: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
     window_length: int = 512
     window_stride: int | None = None     # None -> window_length (no overlap)
-    max_n_fraction: float = 0.1
+    max_n_fraction: float = DEFAULT_MAX_N_FRACTION
 
     def __post_init__(self) -> None:
         if self.source not in ("synthetic", "fasta"):
@@ -45,9 +47,12 @@ class CorpusSection:
             raise ConfigInvalid("corpus.fasta_path required when source is 'fasta'")
         if self.window_length < 1:
             raise ConfigInvalid("corpus.window_length must be >= 1")
-        motifs = tuple((str(p), float(q)) for p, q in self.motifs)
+        if not 0.0 <= self.max_n_fraction <= 1.0:
+            raise ConfigInvalid(f"corpus.max_n_fraction must be in [0, 1], got {self.max_n_fraction}")
+        motifs = tuple((p, float(q)) for p, q in self.motifs)
         object.__setattr__(self, "motifs", motifs)
         object.__setattr__(self, "background", tuple(float(x) for x in self.background))
+        check_synthetic_settings(self.num_sequences, self.sequence_length, motifs, self.background)
 
 
 @dataclass(frozen=True)
@@ -57,17 +62,14 @@ class TokenizerSection:
 
     def __post_init__(self) -> None:
         check_k(self.k)
-        try:
-            Strategy(self.strategy)
-        except ValueError:
-            raise ConfigInvalid(f"unknown tokenizer.strategy {self.strategy!r}") from None
+        Strategy(self.strategy)     # ValueError for an unknown strategy
 
 
 @dataclass(frozen=True)
 class MaskingSection:
     p: float = 0.025
     mode: str = "randommask"             # randommask | baseline
-    stage_fractions: tuple = DEFAULT_STAGE_FRACTIONS
+    stage_fractions: tuple[float, ...] = DEFAULT_STAGE_FRACTIONS
     base_width: int = 6
     width_increment: int = 2
     policy: CorruptionPolicy = field(default_factory=CorruptionPolicy)
@@ -93,31 +95,6 @@ class TrainingSection:
             raise ConfigInvalid("training.total_steps and batch_size must be >= 1")
 
 
-_SECTIONS = {
-    "corpus": CorpusSection,
-    "tokenizer": TokenizerSection,
-    "masking": MaskingSection,
-    "model": ModelSettings,
-    "training": TrainingSection,
-    "finetune": FinetuneSettings,
-}
-
-
-#: Each section's int-annotated keys and their hint (``int`` or ``int | None``).
-_INTEGER_KEYS = {
-    name: {key: hint for key, hint in get_type_hints(cls).items() if hint in (int, int | None)}
-    for name, cls in _SECTIONS.items()
-}
-
-
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class RunConfig:
     corpus: CorpusSection = field(default_factory=CorpusSection)
@@ -128,13 +105,6 @@ class RunConfig:
     finetune: FinetuneSettings = field(default_factory=FinetuneSettings)
 
     def __post_init__(self) -> None:
-        # JSON's 6.5 and true pass the sections' range checks; reject them here.
-        for name, keys in _INTEGER_KEYS.items():
-            section = getattr(self, name)
-            for key, hint in keys.items():
-                value = getattr(section, key)
-                if isinstance(value, bool) or not isinstance(value, hint):
-                    raise ConfigInvalid(f"{name}.{key} must be an integer, got {value!r}")
         # Optimizers are built long after load (pretrain after the corpus,
         # finetune after the data and checkpoint), so check their settings now.
         for name in ("training", "finetune"):
@@ -145,41 +115,34 @@ class RunConfig:
                 raise ConfigInvalid(f"{name}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return _jsonify(asdict(self))
+        return asdict(self)
 
     def override(self, section: str, **updates) -> "RunConfig":
-        """Return a copy with ``updates`` applied to one section."""
+        """Return a copy with ``updates`` applied to one section, checked as on load."""
         if section not in _SECTIONS:
             raise ConfigInvalid(f"unknown config section {section!r}")
-        return replace(self, **{section: replace(getattr(self, section), **updates)})
+        values = {**asdict(getattr(self, section)), **updates}
+        return replace(self, **{section: _build_section(_SECTIONS[section], values, section)})
+
+
+#: Section name -> section class, from RunConfig's own fields.
+_SECTIONS = get_type_hints(RunConfig)
+_CHECKS = {cls: type_checks(cls) for cls in (*_SECTIONS.values(), CorruptionPolicy)}
 
 
 def _build_section(cls, obj: Any, path: str):
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"{path} must be an object, got {type(obj).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise ConfigInvalid(f"unknown key(s) {sorted(unknown)} in {path}")
-    kwargs = {}
-    for name, value in obj.items():
-        if name == "policy":
-            value = _build_section(CorruptionPolicy, value, f"{path}.policy")
-        elif name == "motifs":
-            try:
-                value = tuple((m["pattern"], m["plant_probability"]) if isinstance(m, dict)
-                              else (m[0], m[1]) for m in value)
-            except (KeyError, IndexError, TypeError):
-                raise ConfigInvalid(
-                    f"{path}.motifs entries need pattern and plant_probability"
-                ) from None
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
+    if "policy" in obj:
+        obj = {**obj, "policy": _build_section(CorruptionPolicy, obj["policy"], f"{path}.policy")}
+    # The section's own checks run first, then each value meets its annotation.
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
+        section = cls(**obj)
+    except (AttributeError, TypeError, ValueError) as exc:
+        check_types(_CHECKS[cls], obj, path)
         raise ConfigInvalid(f"bad value in {path}: {exc}") from None
+    check_types(_CHECKS[cls], obj, path)
+    return section
 
 
 def run_config_from_dict(obj: dict) -> RunConfig:

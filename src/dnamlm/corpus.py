@@ -189,29 +189,37 @@ class SyntheticCorpusConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_sequences < 0:
-            raise ConfigInvalid("num_sequences must be >= 0")
-        if self.sequence_length < 0:
-            raise ConfigInvalid("sequence_length must be >= 0")
-        if len(self.background) != 4:
-            raise ConfigInvalid("background must have 4 probabilities (A,C,G,T)")
-        if any(p < 0 for p in self.background):
-            raise ConfigInvalid("background probabilities must be non-negative")
-        if abs(sum(self.background) - 1.0) > 1e-9:
-            raise ConfigInvalid("background probabilities must sum to 1 +/- 1e-9")
-        norm: list[tuple[str, float]] = []
-        for pattern, prob in self.motifs:
-            pattern = normalize_bases(pattern)
-            if not 0.0 <= prob <= 1.0:
-                raise ConfigInvalid(f"plant probability {prob} outside [0, 1]")
+        self.motifs = check_synthetic_settings(
+            self.num_sequences, self.sequence_length, self.motifs, self.background
+        )
+        for pattern, _ in self.motifs:
             if len(pattern) > self.sequence_length:
                 raise ConfigInvalid(
                     f"motif {pattern!r} longer than sequence_length {self.sequence_length}"
                 )
-            if len(pattern) == 0:
-                raise ConfigInvalid("empty motif pattern")
-            norm.append((pattern, float(prob)))
-        self.motifs = tuple(norm)
+
+
+def check_synthetic_settings(num_sequences, sequence_length, motifs, background) -> tuple:
+    """Check each synthetic-corpus setting but the motifs' fit; return the motifs uppercased."""
+    if num_sequences < 0:
+        raise ConfigInvalid("num_sequences must be >= 0")
+    if sequence_length < 0:
+        raise ConfigInvalid("sequence_length must be >= 0")
+    if len(background) != 4:
+        raise ConfigInvalid("background must have 4 probabilities (A,C,G,T)")
+    if any(p < 0 for p in background):
+        raise ConfigInvalid("background probabilities must be non-negative")
+    if abs(sum(background) - 1.0) > 1e-9:
+        raise ConfigInvalid("background probabilities must sum to 1 +/- 1e-9")
+    norm: list[tuple[str, float]] = []
+    for pattern, prob in motifs:
+        pattern = normalize_bases(pattern)
+        if not 0.0 <= prob <= 1.0:
+            raise ConfigInvalid(f"plant probability {prob} outside [0, 1]")
+        if len(pattern) == 0:
+            raise ConfigInvalid("empty motif pattern")
+        norm.append((pattern, float(prob)))
+    return tuple(norm)
 
 
 def generate_synthetic(config: SyntheticCorpusConfig) -> list[DnaSequence]:

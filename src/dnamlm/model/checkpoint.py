@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ConfigInvalid
-from .config import ModelConfig, param_shapes
+from .config import ModelConfig, check_types, param_shapes, type_checks
 from .optimizer import OptimizerState
 from .params import ModelParams
 
@@ -30,6 +30,9 @@ class Checkpoint:
     opt_state: OptimizerState | None
     step: int
     run_config: dict | None
+
+
+_CHECKS = {cls: type_checks(cls) for cls in (Checkpoint, ModelConfig, OptimizerState)}
 
 
 def _le_dtype(arr: np.ndarray) -> str:
@@ -67,11 +70,7 @@ def save_checkpoint(
         for name in params.arrays:
             add(f"opt.m.{name}", opt_state.m[name])
             add(f"opt.v.{name}", opt_state.v[name])
-        optimizer = {
-            "lr": opt_state.lr, "beta1": opt_state.beta1, "beta2": opt_state.beta2,
-            "weight_decay": opt_state.weight_decay, "eps": opt_state.eps,
-            "step": opt_state.step,
-        }
+        optimizer = {k: v for k, v in vars(opt_state).items() if k not in ("m", "v")}
 
     manifest = {
         "schema": SCHEMA_VERSION,
@@ -94,7 +93,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
     """Read a checkpoint back; arrays compare bit-equal to what was saved.
 
     A checkpoint that cannot be read, whose manifest is not valid JSON,
-    lacks a key or holds one of the wrong type, whose parameter or moment
+    lacks a key, whose step, ``model_config`` or ``optimizer`` values do not
+    fit their fields' annotations and checks, whose parameter or moment
     tensors do not match its model config, or whose blob is shorter than
     the manifest says raises :class:`ConfigInvalid`.
     """
@@ -114,7 +114,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise ConfigInvalid(f"unsupported checkpoint schema {schema!r}")
     try:
         return _decode(manifest, blob)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed checkpoint manifest in {directory!r}: {exc!r}") from None
 
 
@@ -130,6 +130,14 @@ def _decode(manifest: dict, blob: bytes) -> Checkpoint:
         arr = np.frombuffer(blob[start:end], dtype=entry["dtype"]).reshape(entry["shape"])
         arrays[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="), copy=True)
 
+    step, run_config = manifest["step"], manifest.get("run_config")
+    check_types(_CHECKS[Checkpoint], {"step": step, "run_config": run_config}, "checkpoint")
+    if step < 0:
+        raise ConfigInvalid(f"checkpoint step must be >= 0, got {step}")
+    check_types(_CHECKS[ModelConfig], manifest["model_config"], "model_config")
+    opt = manifest["optimizer"]
+    if opt is not None:
+        check_types(_CHECKS[OptimizerState], opt, "optimizer")
     config = ModelConfig(**manifest["model_config"])
     shapes = param_shapes(config)
 
@@ -141,16 +149,6 @@ def _decode(manifest: dict, blob: bytes) -> Checkpoint:
 
     params = ModelParams(config=config, arrays=group("param."))
     opt_state = None
-    if manifest["optimizer"] is not None:
-        opt = manifest["optimizer"]
-        opt_state = OptimizerState(
-            lr=opt["lr"], beta1=opt["beta1"], beta2=opt["beta2"],
-            weight_decay=opt["weight_decay"], eps=opt["eps"], step=opt["step"],
-            m=group("opt.m."), v=group("opt.v."),
-        )
-    return Checkpoint(
-        params=params,
-        opt_state=opt_state,
-        step=int(manifest["step"]),
-        run_config=manifest.get("run_config"),
-    )
+    if opt is not None:
+        opt_state = OptimizerState(**opt, m=group("opt.m."), v=group("opt.v."))
+    return Checkpoint(params=params, opt_state=opt_state, step=step, run_config=run_config)

@@ -1,4 +1,4 @@
-"""Encoder shape and hyperparameter description.
+"""Encoder shape and hyperparameter description, and the settings type check.
 
 ``ModelSettings`` is the run config's ``model`` section; ``ModelConfig``
 adds the vocabulary size, class count and seed, which a run derives.
@@ -6,11 +6,46 @@ adds the vocabulary size, class count and seed, which a run derives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from ..errors import ConfigInvalid
 
 DTYPES = ("float32", "float64")
+
+
+def _accepts(hint):
+    """A test for JSON values of ``hint``: ``bool`` takes only true/false, ``int``
+    no bool, ``float`` also an integer, a tuple a JSON list, ``X | None`` also null."""
+    args = get_args(hint)
+    if get_origin(hint) in (Union, UnionType):
+        tests = [_accepts(arm) for arm in args]
+        return lambda v: any(t(v) for t in tests)
+    if get_origin(hint) is tuple:
+        tests = [_accepts(arg) for arg in args if arg is not Ellipsis]
+        if args[-1] is Ellipsis:
+            return lambda v: isinstance(v, (tuple, list)) and all(map(tests[0], v))
+        return lambda v: (isinstance(v, (tuple, list)) and len(v) == len(tests)
+                          and all(t(x) for t, x in zip(tests, v)))
+    kinds = (int, float) if hint is float else get_origin(hint) or hint
+    return lambda v: isinstance(v, kinds) and (hint is bool or not isinstance(v, bool))
+
+
+def type_checks(cls) -> dict:
+    """Key -> (annotation, test) for every field of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: (f.type, _accepts(hints[f.name])) for f in fields(cls)}
+
+
+def check_types(checks: dict, values: dict, path: str) -> None:
+    """Raise ConfigInvalid naming the first key of ``values`` that ``checks`` lacks or refuses."""
+    for key, value in values.items():
+        if key not in checks:
+            raise ConfigInvalid(f"unknown key {path}.{key}")
+        annotation, test = checks[key]
+        if not test(value):
+            raise ConfigInvalid(f"{path}.{key} must be {annotation}, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)

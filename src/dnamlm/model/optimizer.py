@@ -12,7 +12,7 @@ from .params import ModelParams
 
 @dataclass
 class OptimizerState:
-    """First/second moment estimates plus the update hyperparameters."""
+    """First/second moment estimates plus the update hyperparameters, checked on construction."""
 
     lr: float
     beta1: float = 0.9
@@ -22,6 +22,11 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_hyperparameters(self.lr, self.beta1, self.beta2, self.weight_decay)
+        if self.step < 0:
+            raise ConfigInvalid(f"optimizer step must be >= 0, got {self.step}")
 
 
 def check_hyperparameters(
@@ -36,21 +41,11 @@ def check_hyperparameters(
         raise ConfigInvalid(f"betas must lie in [0, 1), got {beta1}, {beta2}")
 
 
-def init_optimizer(
-    params: ModelParams,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    weight_decay: float = 0.0,
-    eps: float = 1e-8,
-) -> OptimizerState:
-    check_hyperparameters(lr, beta1, beta2, weight_decay)
+def init_optimizer(params: ModelParams, lr: float, **settings: float) -> OptimizerState:
+    """Zero moments; ``settings`` are any of beta1, beta2, weight_decay and eps."""
     return OptimizerState(
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        weight_decay=weight_decay,
-        eps=eps,
+        **settings,
         m={k: np.zeros_like(a) for k, a in params.arrays.items()},
         v={k: np.zeros_like(a) for k, a in params.arrays.items()},
     )

@@ -250,13 +250,13 @@ class PretrainResult:
     params: ModelParams
 
 
-def _configs_compatible(saved: dict | None, current: dict) -> bool:
+def _configs_compatible(saved: dict | None, current: RunConfig) -> bool:
     """Whether a checkpoint's echoed config matches ``current``.
 
     The saved side goes through the same loader as a config file, so a key
     that loader retires does not count as a difference.
     """
-    return saved is None or run_config_from_dict(saved).to_dict() == current
+    return saved is None or run_config_from_dict(saved) == current
 
 
 def pretrain_run(
@@ -291,7 +291,7 @@ def pretrain_run(
         ckpt = load_checkpoint(resume_from)
         if ckpt.opt_state is None:
             raise ConfigInvalid(f"checkpoint {resume_from} lacks optimizer state; cannot resume")
-        if not _configs_compatible(ckpt.run_config, run.to_dict()):
+        if not _configs_compatible(ckpt.run_config, run):
             raise ConfigInvalid(
                 "resume config differs from the checkpoint's; a resumed run must "
                 "keep the original corpus/masking/model/training settings"

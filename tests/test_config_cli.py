@@ -5,8 +5,11 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -41,10 +44,12 @@ class TestRunConfig:
         assert run.training.batch_size == 16
 
     def test_motif_formats(self):
-        obj = {"corpus": {"motifs": [["ACGT", 0.5],
-                                     {"pattern": "GGTT", "plant_probability": 1.0}]}}
-        run = run_config_from_dict(obj)
+        run = run_config_from_dict({"corpus": {"motifs": [["ACGT", 0.5], ["GGTT", 1]]}})
         assert run.corpus.motifs == (("ACGT", 0.5), ("GGTT", 1.0))
+        # motifs are [pattern, probability] pairs only
+        with pytest.raises(ConfigInvalid, match="corpus.motifs"):
+            run_config_from_dict({"corpus": {"motifs": [
+                {"pattern": "GGTT", "plant_probability": 1.0}]}})
 
     def test_to_dict_round_trips(self):
         run = run_config_from_dict({"training": {"seed": 9}})
@@ -115,7 +120,7 @@ class TestRunConfig:
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("\n## Run config\n", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
-        assert json.loads(block) == RunConfig().to_dict()
+        assert json.loads(block) == json.loads(json.dumps(RunConfig().to_dict()))
 
 
 @pytest.fixture()
@@ -400,6 +405,135 @@ class TestIntegerKeys:
         })
         assert run.corpus.window_stride is None and run.training.lr == 1
         assert RunConfig().override("corpus", window_stride=None) == RunConfig()
+
+
+def _annotated_keys(cls, path):
+    """(section path, key, annotation) for every key under ``cls``, nested ones too."""
+    for key, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from _annotated_keys(hint, f"{path}.{key}")
+        yield path, key, hint
+
+
+def _wrong_typed(hint):
+    """JSON values the annotation refuses: a string for a number or a list,
+    "no" or 1 for a bool, a number for a string, null unless Optional."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    arms = typing.get_args(hint) if union else (hint,)
+    wrong = [5] if str in arms else ["no", 1] if bool in arms else ["x"]
+    return wrong + ([] if type(None) in arms else [None])
+
+
+WRONG_TYPED = [
+    (path, key, value)
+    for section, cls in typing.get_type_hints(RunConfig).items()
+    for path, key, hint in _annotated_keys(cls, section)
+    for value in _wrong_typed(hint)
+]
+
+
+class TestAnnotatedTypes:
+    @pytest.mark.parametrize("path,key,value", WRONG_TYPED)
+    def test_wrong_type_exits_2_naming_the_key(self, path, key, value, tmp_path, capsys):
+        obj = {key: value}
+        for part in reversed(path.split(".")):
+            obj = {part: obj}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["mask-stats", "--samples", "10", "--seq-len", "16",
+                     "--config", str(p)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert key in json.loads(line)["message"]
+        if "." not in path:   # a flag sets its key through the same check
+            with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
+                RunConfig().override(path, **{key: value})
+
+    @pytest.mark.parametrize("motifs", [[[1, 0.5]], [["ACGT", 0.5, 1]], [["ACGT", "0.5"]],
+                                        ["ACGT"]])
+    def test_motif_must_be_a_pattern_probability_pair(self, motifs):
+        with pytest.raises(ConfigInvalid, match="corpus.motifs"):
+            run_config_from_dict({"corpus": {"motifs": motifs}})
+
+    def test_echo_keeps_what_the_file_wrote(self):
+        run = run_config_from_dict({"training": {"lr": 1},
+                                    "corpus": {"background": [1, 0, 0, 0]}})
+        echo = json.loads(json.dumps(run.to_dict()))
+        assert echo["training"]["lr"] == 1 and echo["corpus"]["background"] == [1.0, 0, 0, 0]
+        assert run_config_from_dict(echo) == run
+
+    @pytest.mark.parametrize("corpus,words", [
+        ({"background": [1, 1, 1, 1]}, "background"),
+        ({"motifs": [["ACGT", 5]]}, "plant probability"),
+        ({"num_sequences": -1}, "num_sequences"),
+        ({"motifs": [["AXGT", 0.5]]}, "invalid bases"),
+        ({"max_n_fraction": 5}, "max_n_fraction"),
+        ({"max_n_fraction": -1}, "max_n_fraction"),
+    ])
+    def test_synthetic_corpus_settings_checked_on_load(self, corpus, words, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"corpus": corpus}), encoding="utf-8")
+        assert main(["mask-stats", "--samples", "10", "--seq-len", "16",
+                     "--config", str(p)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert words in json.loads(line)["message"]
+
+
+@pytest.fixture(scope="module")
+def two_step_run(tmp_path_factory):
+    """A run directory whose checkpoint stopped after step 2 of SMALL_RUN."""
+    root = tmp_path_factory.mktemp("two_step")
+    (root / "cfg.json").write_text(json.dumps(SMALL_RUN), encoding="utf-8")
+    assert main(["pretrain", "--config", str(root / "cfg.json"), "--stop-after", "2",
+                 "--out", str(root / "run")]) == 0
+    return root
+
+
+class TestManifestValues:
+    @pytest.mark.parametrize("keys,value,words", [
+        (("optimizer", "lr"), "x", "optimizer.lr"),
+        (("optimizer", "lr"), -1, "learning rate"),
+        (("optimizer", "step"), -5, "optimizer step"),
+        (("step",), -5, "step"),
+        (("step",), True, "step"),
+        (("model_config", "tie_embeddings"), "no", "model_config.tie_embeddings"),
+        (("model_config",), [1], "malformed"),
+    ])
+    @pytest.mark.parametrize("command", ["pretrain", "analyze", "finetune"])
+    def test_bad_value_exits_2(self, two_step_run, keys, value, words, command, tmp_path,
+                               capsys):
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(two_step_run / "run" / "checkpoint", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        *parents, last = keys
+        target = manifest
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        data = tmp_path / "train.csv"
+        data.write_text("sequence,label\nACGTACGT,0\nTTGCATGC,1\n", encoding="utf-8")
+        config = str(two_step_run / "cfg.json")
+        argv = {
+            "pretrain": ["pretrain", "--config", config, "--resume", str(ckpt)],
+            "analyze": ["analyze", "--checkpoint", str(ckpt)],
+            "finetune": ["finetune", "--checkpoint", str(ckpt), "--data", str(data)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigInvalid" and words in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_finetune_checkpoint_that_is_a_file_exits_2(self, two_step_run, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        data.write_text("sequence,label\nACGTACGT,0\nTTGCATGC,1\n", encoding="utf-8")
+        manifest = two_step_run / "run" / "checkpoint" / "manifest.json"
+        assert main(["finetune", "--checkpoint", str(manifest), "--data", str(data),
+                     "--out", str(tmp_path / "ft")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "cannot read checkpoint" in json.loads(line)["message"]
+        assert not (tmp_path / "ft").exists()
 
 
 class TestCliPretrainAnalyze:
