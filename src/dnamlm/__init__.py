@@ -8,9 +8,9 @@ detection) needed to study the pre-training dynamics.
 """
 
 from .corpus import (
+    CorpusSettings,
     DnaSequence,
     LabeledExample,
-    SyntheticCorpusConfig,
     generate_synthetic,
     load_labeled,
     parse_fasta,

@@ -44,7 +44,6 @@ from .model.training import FinetuneConfig, finetune_classify
 from .pipeline import (
     build_windows,
     model_config_from_run,
-    policy_from_config,
     prepare_frames,
     pretrain_run,
     run_diagnostics,
@@ -266,15 +265,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     run = run_config_from_dict(ckpt.run_config)
     vocab = build_vocab(run.tokenizer.k)
-    schedule = schedule_from_config(run)
-    policy = policy_from_config(run)
     frames = prepare_frames(
         build_windows(run), vocab, Strategy(run.tokenizer.strategy), run.model.max_len
     )
     probe_step = args.probe_step if args.probe_step is not None else max(1, ckpt.step)
-    attention, silhouette = run_diagnostics(
-        ckpt.params, run, schedule, policy, vocab, frames, probe_step
-    )
+    attention, silhouette = run_diagnostics(ckpt.params, run, frames, probe_step)
     payload = {
         "checkpoint_step": ckpt.step,
         "num_layers": ckpt.params.config.num_layers,

@@ -6,9 +6,10 @@ flags override file values, and the merged effective config is echoed into
 every report and checkpoint for provenance.  Each key's type is declared
 once, by its field's annotation, and checked by ``model.config.check_types``.
 
-The ``model`` and ``finetune`` sections are the model layer's own
-``ModelSettings`` and ``FinetuneSettings``, as ``masking.policy`` is a
-``CorruptionPolicy``, so each key has one default and one check.
+The ``corpus``, ``model`` and ``finetune`` sections are the corpus and
+model layers' own ``CorpusSettings``, ``ModelSettings`` and
+``FinetuneSettings``, as ``masking.policy`` is a ``CorruptionPolicy``, so
+each key has one default and one check.
 """
 
 from __future__ import annotations
@@ -16,44 +17,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, get_type_hints
 
-from .corpus import DEFAULT_MAX_N_FRACTION, check_synthetic_settings
+from .corpus import CorpusSettings
 from .errors import ConfigInvalid
 from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
 from .model.config import ModelSettings, check_types, type_checks
 from .model.optimizer import check_hyperparameters
 from .model.training import FinetuneSettings
 from .tokenizer import Strategy, check_k
-
-DEFAULT_MOTIFS = (("TATAATGCGC", 0.6), ("GGCCAATCAG", 0.6))
-
-
-@dataclass(frozen=True)
-class CorpusSection:
-    source: str = "synthetic"            # "synthetic" | "fasta"
-    fasta_path: str | None = None
-    lenient: bool = False
-    num_sequences: int = 256
-    sequence_length: int = 512
-    motifs: tuple[tuple[str, float], ...] = DEFAULT_MOTIFS
-    background: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
-    window_length: int = 512
-    window_stride: int | None = None     # None -> window_length (no overlap)
-    max_n_fraction: float = DEFAULT_MAX_N_FRACTION
-
-    def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "fasta"):
-            raise ConfigInvalid(f"corpus.source must be 'synthetic' or 'fasta', got {self.source!r}")
-        if self.source == "fasta" and not self.fasta_path:
-            raise ConfigInvalid("corpus.fasta_path required when source is 'fasta'")
-        if self.window_length < 1:
-            raise ConfigInvalid("corpus.window_length must be >= 1")
-        if not 0.0 <= self.max_n_fraction <= 1.0:
-            raise ConfigInvalid(f"corpus.max_n_fraction must be in [0, 1], got {self.max_n_fraction}")
-        motifs = tuple((p, float(q)) for p, q in self.motifs)
-        object.__setattr__(self, "motifs", motifs)
-        object.__setattr__(self, "background", tuple(float(x) for x in self.background))
-        check_synthetic_settings(self.num_sequences, self.sequence_length, motifs, self.background)
-
 
 @dataclass(frozen=True)
 class TokenizerSection:
@@ -97,7 +67,7 @@ class TrainingSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    corpus: CorpusSection = field(default_factory=CorpusSection)
+    corpus: CorpusSettings = field(default_factory=CorpusSettings)
     tokenizer: TokenizerSection = field(default_factory=TokenizerSection)
     masking: MaskingSection = field(default_factory=MaskingSection)
     model: ModelSettings = field(default_factory=ModelSettings)
@@ -105,6 +75,11 @@ class RunConfig:
     finetune: FinetuneSettings = field(default_factory=FinetuneSettings)
 
     def __post_init__(self) -> None:
+        if self.corpus.window_length < self.tokenizer.k:
+            raise ConfigInvalid(
+                f"corpus.window_length {self.corpus.window_length} shorter than "
+                f"tokenizer.k {self.tokenizer.k}"
+            )
         # Optimizers are built long after load (pretrain after the corpus,
         # finetune after the data and checkpoint), so check their settings now.
         for name in ("training", "finetune"):

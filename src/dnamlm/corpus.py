@@ -11,7 +11,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -172,75 +172,97 @@ def sample_windows(
     return windows
 
 
-@dataclass
-class SyntheticCorpusConfig:
-    """Recipe for a reproducible synthetic corpus with planted motifs.
+DEFAULT_MOTIFS = (("TATAATGCGC", 0.6), ("GGCCAATCAG", 0.6))
 
-    Each sequence is drawn i.i.d. from the per-base ``background``
-    distribution over A,C,G,T, then every motif is independently planted
-    with its probability at a uniform random offset, overwriting the
-    background.
+
+@dataclass(frozen=True, kw_only=True)
+class CorpusSettings:
+    """Where a run's sequences come from and how they are cut into windows.
+
+    The run config's ``corpus`` section.  With ``source`` "synthetic" it is
+    the recipe :func:`generate_synthetic` follows: each sequence is drawn
+    i.i.d. from the per-base ``background`` distribution over A,C,G,T, then
+    every motif is independently planted with its probability at a uniform
+    random offset, overwriting the background.  With "fasta" the sequences
+    are read from ``fasta_path``.  Motif patterns are kept as written and
+    uppercased when planted.
     """
 
-    num_sequences: int
-    sequence_length: int
-    motifs: Sequence[tuple[str, float]] = ()
-    background: Sequence[float] = (0.25, 0.25, 0.25, 0.25)
-    seed: int = 0
+    source: str = "synthetic"            # "synthetic" | "fasta"
+    fasta_path: str | None = None
+    lenient: bool = False
+    num_sequences: int = 256
+    sequence_length: int = 512
+    motifs: tuple[tuple[str, float], ...] = DEFAULT_MOTIFS
+    background: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
+    window_length: int = 512
+    window_stride: int | None = None     # None -> window_length (no overlap)
+    max_n_fraction: float = DEFAULT_MAX_N_FRACTION
 
     def __post_init__(self) -> None:
-        self.motifs = check_synthetic_settings(
-            self.num_sequences, self.sequence_length, self.motifs, self.background
-        )
-        for pattern, _ in self.motifs:
-            if len(pattern) > self.sequence_length:
+        if self.source not in ("synthetic", "fasta"):
+            raise ConfigInvalid(f"corpus.source must be 'synthetic' or 'fasta', got {self.source!r}")
+        if self.source == "fasta" and not self.fasta_path:
+            raise ConfigInvalid("corpus.fasta_path required when source is 'fasta'")
+        if self.num_sequences < 0:
+            raise ConfigInvalid(f"corpus.num_sequences must be >= 0, got {self.num_sequences}")
+        if self.sequence_length < 0:
+            raise ConfigInvalid(f"corpus.sequence_length must be >= 0, got {self.sequence_length}")
+        if self.window_length < 1:
+            raise ConfigInvalid(f"corpus.window_length must be >= 1, got {self.window_length}")
+        if self.window_stride is not None and self.window_stride < 1:
+            raise ConfigInvalid(f"corpus.window_stride must be >= 1, got {self.window_stride}")
+        if not 0.0 <= self.max_n_fraction <= 1.0:
+            raise ConfigInvalid(f"corpus.max_n_fraction must be in [0, 1], got {self.max_n_fraction}")
+        background = tuple(float(x) for x in self.background)
+        if len(background) != 4:
+            raise ConfigInvalid("corpus.background must have 4 probabilities (A,C,G,T)")
+        if any(p < 0 for p in background):
+            raise ConfigInvalid("corpus.background probabilities must be non-negative")
+        if abs(sum(background) - 1.0) > 1e-9:
+            raise ConfigInvalid("corpus.background probabilities must sum to 1 +/- 1e-9")
+        motifs = []
+        for pattern, prob in self.motifs:
+            # The probability first: a motif that is not a [pattern, probability]
+            # pair then fails as a type error, not on its "pattern" letters.
+            prob = float(prob)
+            bad = sorted(set(pattern.upper()) - VALID_BASES)
+            if bad:
+                raise ConfigInvalid(f"corpus.motifs pattern {pattern!r} has invalid bases {bad}")
+            if not pattern:
+                raise ConfigInvalid("corpus.motifs has an empty pattern")
+            if not 0.0 <= prob <= 1.0:
+                raise ConfigInvalid(f"corpus.motifs plant probability {prob} outside [0, 1]")
+            if self.source == "synthetic" and len(pattern) > self.sequence_length:
                 raise ConfigInvalid(
-                    f"motif {pattern!r} longer than sequence_length {self.sequence_length}"
+                    f"corpus.motifs pattern {pattern!r} longer than "
+                    f"corpus.sequence_length {self.sequence_length}"
                 )
+            motifs.append((pattern, prob))
+        object.__setattr__(self, "motifs", tuple(motifs))
+        object.__setattr__(self, "background", background)
 
 
-def check_synthetic_settings(num_sequences, sequence_length, motifs, background) -> tuple:
-    """Check each synthetic-corpus setting but the motifs' fit; return the motifs uppercased."""
-    if num_sequences < 0:
-        raise ConfigInvalid("num_sequences must be >= 0")
-    if sequence_length < 0:
-        raise ConfigInvalid("sequence_length must be >= 0")
-    if len(background) != 4:
-        raise ConfigInvalid("background must have 4 probabilities (A,C,G,T)")
-    if any(p < 0 for p in background):
-        raise ConfigInvalid("background probabilities must be non-negative")
-    if abs(sum(background) - 1.0) > 1e-9:
-        raise ConfigInvalid("background probabilities must sum to 1 +/- 1e-9")
-    norm: list[tuple[str, float]] = []
-    for pattern, prob in motifs:
-        pattern = normalize_bases(pattern)
-        if not 0.0 <= prob <= 1.0:
-            raise ConfigInvalid(f"plant probability {prob} outside [0, 1]")
-        if len(pattern) == 0:
-            raise ConfigInvalid("empty motif pattern")
-        norm.append((pattern, float(prob)))
-    return tuple(norm)
-
-
-def generate_synthetic(config: SyntheticCorpusConfig) -> list[DnaSequence]:
-    """Generate the corpus described by ``config``.
+def generate_synthetic(settings: CorpusSettings, seed: int) -> list[DnaSequence]:
+    """Generate the synthetic corpus ``settings`` describes.
 
     Deterministic given the seed: sequence i is produced by an independent
     generator keyed ``(seed, STREAM_DATA, i)``, so the output is identical
     across runs and platforms and independent of generation order.
     """
     base_arr = np.frombuffer(BASE_ORDER.encode(), dtype=np.uint8)
-    background = np.asarray(config.background, dtype=np.float64)
+    background = np.asarray(settings.background, dtype=np.float64)
     background = background / background.sum()
+    motifs = [(pattern.upper().encode(), prob) for pattern, prob in settings.motifs]
     out: list[DnaSequence] = []
-    for i in range(config.num_sequences):
-        rng = split(config.seed, STREAM_DATA, i)
-        codes = rng.choice(4, size=config.sequence_length, p=background)
+    for i in range(settings.num_sequences):
+        rng = split(seed, STREAM_DATA, i)
+        codes = rng.choice(4, size=settings.sequence_length, p=background)
         seq = bytearray(base_arr[codes].tobytes())
-        for pattern, prob in config.motifs:
+        for pattern, prob in motifs:
             if rng.random() < prob:
-                offset = int(rng.integers(0, config.sequence_length - len(pattern) + 1))
-                seq[offset : offset + len(pattern)] = pattern.encode()
+                offset = int(rng.integers(0, settings.sequence_length - len(pattern) + 1))
+                seq[offset : offset + len(pattern)] = pattern
         out.append(DnaSequence(id=f"synthetic-{i}", bases=seq.decode()))
     return out
 

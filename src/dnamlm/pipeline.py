@@ -29,7 +29,7 @@ from .analysis import (
     emit_report,
 )
 from .config import RunConfig, run_config_from_dict
-from .corpus import DnaSequence, SyntheticCorpusConfig, generate_synthetic, parse_fasta, sample_windows
+from .corpus import DnaSequence, generate_synthetic, parse_fasta, sample_windows
 from .errors import ConfigInvalid
 from .masking import (
     CorruptionPolicy,
@@ -101,18 +101,8 @@ def model_config_from_run(run: RunConfig, vocab: Vocabulary) -> ModelConfig:
 def build_windows(run: RunConfig) -> list[DnaSequence]:
     """Materialize the pre-training windows described by the corpus section."""
     c = run.corpus
-    if c.window_length < run.tokenizer.k:
-        raise ConfigInvalid(f"window_length {c.window_length} shorter than k={run.tokenizer.k}")
     if c.source == "synthetic":
-        sequences = generate_synthetic(
-            SyntheticCorpusConfig(
-                num_sequences=c.num_sequences,
-                sequence_length=c.sequence_length,
-                motifs=c.motifs,
-                background=c.background,
-                seed=run.training.seed,
-            )
-        )
+        sequences = generate_synthetic(c, run.training.seed)
     else:
         try:
             fh = open(c.fasta_path, "r", encoding="utf-8")
@@ -189,9 +179,6 @@ def assemble_batch(
 def attention_probe(
     params: ModelParams,
     run: RunConfig,
-    schedule: MaskSchedule,
-    policy: CorruptionPolicy,
-    vocab: Vocabulary,
     frames: tuple[np.ndarray, np.ndarray],
     step: int,
 ) -> dict:
@@ -207,7 +194,8 @@ def attention_probe(
     seed = run.training.seed
     chosen = split(seed, STREAM_PROBE, 0).integers(0, frames_ids.shape[0], size=PROBE_SEQUENCES)
     ids, labels, _plans = _corrupt_rows(
-        frames_ids, chosen, step, run.masking.p, schedule, policy, vocab,
+        frames_ids, chosen, step, run.masking.p, schedule_from_config(run),
+        policy_from_config(run), build_vocab(run.tokenizer.k),
         lambda slot: split(seed, STREAM_PROBE, 1 + slot),
     )
     masked = labels != IGNORE_LABEL
@@ -227,17 +215,14 @@ def attention_probe(
 def run_diagnostics(
     params: ModelParams,
     run: RunConfig,
-    schedule: MaskSchedule,
-    policy: CorruptionPolicy,
-    vocab: Vocabulary,
     frames: tuple[np.ndarray, np.ndarray],
     step: int,
 ) -> tuple[dict, float | None]:
     """Attention probe at ``step`` and, for 6-mers, the k-mer embedding silhouette."""
-    attention = attention_probe(params, run, schedule, policy, vocab, frames, step)
+    attention = attention_probe(params, run, frames, step)
     silhouette = None
     if run.tokenizer.k == 6:
-        silhouette = embedding_silhouette(params["tok_emb"][vocab.first_kmer_id :])
+        silhouette = embedding_silhouette(params["tok_emb"][build_vocab(6).first_kmer_id :])
     return attention, silhouette
 
 
@@ -324,9 +309,7 @@ def pretrain_run(
         )
 
     final_step = end_step
-    attention, silhouette = run_diagnostics(
-        params, run, schedule, policy, vocab, (frames_ids, frames_real), final_step
-    )
+    attention, silhouette = run_diagnostics(params, run, (frames_ids, frames_real), final_step)
 
     report = RunReport(
         config=run.to_dict(),

@@ -25,7 +25,7 @@ from dnamlm.analysis import (
     stage_jump_detector,
 )
 from dnamlm.config import run_config_from_dict
-from dnamlm.corpus import DnaSequence, SyntheticCorpusConfig, generate_synthetic
+from dnamlm.corpus import CorpusSettings, DnaSequence, generate_synthetic
 from dnamlm.masking import (
     CorruptionPolicy,
     IGNORE_LABEL,
@@ -289,7 +289,7 @@ def test_criterion_05_gradient_correctness():
 def test_criterion_06_overfit_probe():
     t0 = time.time()
     vocab = build_vocab(6)
-    corpus = generate_synthetic(SyntheticCorpusConfig(num_sequences=8, sequence_length=64, seed=11))
+    corpus = generate_synthetic(CorpusSettings(num_sequences=8, sequence_length=64, motifs=()), 11)
     frames = [wrap_for_model(encode_overlapping(s, vocab), vocab, 61) for s in corpus]
     ids = np.stack([f[0] for f in frames])
     real = np.stack([f[1] for f in frames])

@@ -466,8 +466,12 @@ class TestAnnotatedTypes:
         ({"motifs": [["ACGT", 5]]}, "plant probability"),
         ({"num_sequences": -1}, "num_sequences"),
         ({"motifs": [["AXGT", 0.5]]}, "invalid bases"),
+        ({"motifs": [["AXGT", 0.5]]}, "corpus.motifs pattern 'AXGT'"),
         ({"max_n_fraction": 5}, "max_n_fraction"),
         ({"max_n_fraction": -1}, "max_n_fraction"),
+        ({"window_stride": 0}, "window_stride"),
+        ({"sequence_length": 8, "window_length": 8}, "sequence_length"),
+        ({"window_length": 4, "motifs": []}, "window_length"),
     ])
     def test_synthetic_corpus_settings_checked_on_load(self, corpus, words, tmp_path, capsys):
         p = tmp_path / "cfg.json"

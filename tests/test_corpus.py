@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dnamlm.corpus import (
+    CorpusSettings,
     DnaSequence,
-    SyntheticCorpusConfig,
     generate_synthetic,
     load_labeled,
     normalize_bases,
@@ -133,42 +133,48 @@ class TestSampleWindows:
 
 class TestGenerateSynthetic:
     def test_deterministic(self):
-        cfg = SyntheticCorpusConfig(num_sequences=1, sequence_length=8, seed=7)
-        a = generate_synthetic(cfg)
-        b = generate_synthetic(cfg)
+        cfg = CorpusSettings(num_sequences=1, sequence_length=8, motifs=())
+        a = generate_synthetic(cfg, 7)
+        b = generate_synthetic(cfg, 7)
         assert len(a) == 1 and len(a[0].bases) == 8
         assert set(a[0].bases) <= set("ACGT")
         assert [s.bases for s in a] == [s.bases for s in b]
 
     def test_different_seeds_differ(self):
-        a = generate_synthetic(SyntheticCorpusConfig(100, 32, seed=1))
-        b = generate_synthetic(SyntheticCorpusConfig(100, 32, seed=2))
+        cfg = CorpusSettings(num_sequences=100, sequence_length=32, motifs=())
+        a = generate_synthetic(cfg, 1)
+        b = generate_synthetic(cfg, 2)
         assert any(x.bases != y.bases for x, y in zip(a, b))
 
     def test_probability_one_always_plants(self):
-        cfg = SyntheticCorpusConfig(100, 32, motifs=[("AAAAAA", 1.0)], seed=3)
-        assert all("AAAAAA" in s.bases for s in generate_synthetic(cfg))
+        cfg = CorpusSettings(num_sequences=100, sequence_length=32, motifs=[("AAAAAA", 1.0)])
+        assert all("AAAAAA" in s.bases for s in generate_synthetic(cfg, 3))
 
     def test_plant_fraction_binomial_oracle(self):
         # 10-mer motif in 16-base windows: chance occurrence is negligible
         # (< 1e-5), so contains-fraction ~ Binomial(n, 0.5) / n.
         n = 10_000
-        cfg = SyntheticCorpusConfig(n, 16, motifs=[("ACGTACGTAC", 0.5)], seed=11)
-        frac = sum("ACGTACGTAC" in s.bases for s in generate_synthetic(cfg)) / n
+        cfg = CorpusSettings(num_sequences=n, sequence_length=16, motifs=[("ACGTACGTAC", 0.5)])
+        frac = sum("ACGTACGTAC" in s.bases for s in generate_synthetic(cfg, 11)) / n
         sigma = math.sqrt(0.25 / n)
         assert abs(frac - 0.5) <= 3 * sigma
 
     def test_background_distribution(self):
-        cfg = SyntheticCorpusConfig(200, 64, background=(1.0, 0.0, 0.0, 0.0), seed=5)
-        assert all(set(s.bases) == {"A"} for s in generate_synthetic(cfg))
+        cfg = CorpusSettings(num_sequences=200, sequence_length=64, motifs=(),
+                             background=(1.0, 0.0, 0.0, 0.0))
+        assert all(set(s.bases) == {"A"} for s in generate_synthetic(cfg, 5))
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
-            SyntheticCorpusConfig(1, 8, motifs=[("ACGT", 1.5)])
+            CorpusSettings(num_sequences=1, sequence_length=8, motifs=[("ACGT", 1.5)])
         with pytest.raises(ConfigInvalid):
-            SyntheticCorpusConfig(1, 2, motifs=[("ACGT", 0.5)])
+            CorpusSettings(num_sequences=1, sequence_length=2, motifs=[("ACGT", 0.5)])
         with pytest.raises(ConfigInvalid):
-            SyntheticCorpusConfig(1, 8, background=(0.5, 0.5, 0.5, 0.5))
+            CorpusSettings(num_sequences=1, sequence_length=8, motifs=(),
+                           background=(0.5, 0.5, 0.5, 0.5))
+        with pytest.raises(ConfigInvalid, match="corpus.motifs pattern 'AXGT'") as exc:
+            CorpusSettings(motifs=[("AXGT", 0.5)])
+        assert "lenient" not in str(exc.value)
 
 
 class TestLoadLabeled:

@@ -38,20 +38,19 @@ def test_build_windows_shapes():
 
 
 def test_window_shorter_than_k_rejected():
-    run = run_config_from_dict({
-        "corpus": {"num_sequences": 2, "sequence_length": 4, "window_length": 4},
-    })
-    with pytest.raises(ConfigInvalid):
-        build_windows(run)
+    with pytest.raises(ConfigInvalid, match="window_length"):
+        run_config_from_dict({
+            "corpus": {"num_sequences": 2, "sequence_length": 4, "window_length": 4,
+                       "motifs": []},
+        })
 
 
 def test_window_shorter_than_k_rejected_before_reading_the_corpus(tmp_path):
-    run = run_config_from_dict({
-        "corpus": {"source": "fasta", "fasta_path": str(tmp_path / "absent.fa"),
-                   "window_length": 4},
-    })
     with pytest.raises(ConfigInvalid, match="window_length"):
-        build_windows(run)
+        run_config_from_dict({
+            "corpus": {"source": "fasta", "fasta_path": str(tmp_path / "absent.fa"),
+                       "window_length": 4},
+        })
 
 
 def _stride_run(stride):
@@ -126,14 +125,12 @@ def test_attention_probe_contract(tmp_path):
     res = pretrain_run(run, str(tmp_path / "r"))
     vocab = build_vocab(6)
     frames = prepare_frames(build_windows(run), vocab, Strategy.OVERLAPPING, 45)
-    sched = schedule_from_config(run)
-    policy = policy_from_config(run)
-    probe = attention_probe(res.params, run, sched, policy, vocab, frames, 20)
+    probe = attention_probe(res.params, run, frames, 20)
     assert len(probe["cls_mass"]) == 1
     assert len(probe["entropy"]) == 1
     assert probe["num_masked_queries"] > 0
     assert 0.0 <= probe["cls_mass"][0] <= 1.0
-    probe2 = attention_probe(res.params, run, sched, policy, vocab, frames, 20)
+    probe2 = attention_probe(res.params, run, frames, 20)
     assert probe == probe2
 
 
