@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -99,26 +99,22 @@ def _write_output(args: argparse.Namespace, text: str) -> int:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    """The config file (or the defaults) with the set flags merged in, checked as one."""
+    raw = {}
     if getattr(args, "config", None):
         with _open_input(args.config) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigInvalid(f"config file is not valid JSON: {exc}") from None
-        run = run_config_from_dict(raw)
-    else:
-        run = RunConfig()
-    # Config flags store under "section.key" dests; apply the set ones.
-    flags = vars(args)
-    for section in (f.name for f in fields(RunConfig)):
-        updates = {
-            dest.split(".", 1)[1]: value
-            for dest, value in flags.items()
-            if dest.startswith(section + ".") and value is not None
-        }
-        if updates:
-            run = run.override(section, **updates)
-    return run
+    # Config flags store under "section.key" dests; merge the set ones, so
+    # checks that span sections see the effective values.
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None and isinstance(raw, dict):
+            if isinstance(raw.get(section, {}), dict):
+                raw[section] = {**raw.get(section, {}), key: value}
+    return run_config_from_dict(raw)
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -213,7 +209,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     with _open_input(args.data) as fh:
         examples, num_classes = load_labeled(fh, lenient=run.corpus.lenient)
 
-    if args.checkpoint and os.path.exists(args.checkpoint):
+    if args.checkpoint:
         params = load_checkpoint(args.checkpoint).params
         if params.config.vocab_size != vocab.size:
             raise ConfigInvalid(
@@ -221,12 +217,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
                 f"for k={run.tokenizer.k}"
             )
     else:
-        if args.checkpoint:
-            print(
-                json.dumps({"warning": f"checkpoint {args.checkpoint!r} not found; "
-                                       "fine-tuning from random initialization"}),
-                file=sys.stderr,
-            )
         params = init_model(model_config_from_run(run, vocab))
 
     ft = FinetuneConfig(seed=run.training.seed, **asdict(run.finetune))

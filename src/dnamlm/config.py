@@ -19,7 +19,7 @@ from typing import Any, get_type_hints
 
 from .corpus import CorpusSettings
 from .errors import ConfigInvalid
-from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy
+from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy, MaskSchedule
 from .model.config import ModelSettings, check_types, type_checks
 from .model.optimizer import check_hyperparameters
 from .model.training import FinetuneSettings
@@ -51,6 +51,10 @@ class MaskingSection:
             raise ConfigInvalid(f"masking.p must be in [0, 1], got {self.p}")
         object.__setattr__(self, "stage_fractions", tuple(float(f) for f in self.stage_fractions))
 
+    def staged_schedule(self, total_steps: int) -> MaskSchedule:
+        """RandomMask's stage table as a schedule over ``total_steps``."""
+        return MaskSchedule(total_steps, self.stage_fractions, self.base_width, self.width_increment)
+
 
 @dataclass(frozen=True)
 class TrainingSection:
@@ -79,6 +83,16 @@ class RunConfig:
             raise ConfigInvalid(
                 f"corpus.window_length {self.corpus.window_length} shorter than "
                 f"tokenizer.k {self.tokenizer.k}"
+            )
+        # The stage table is checked in both modes; the baseline's one width is k.
+        try:
+            self.masking.staged_schedule(self.training.total_steps)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"masking: {exc}") from None
+        if self.masking.mode == "baseline" and self.tokenizer.k % 2:
+            raise ConfigInvalid(
+                f"masking.mode 'baseline' masks spans of width tokenizer.k, which must be "
+                f"even; got tokenizer.k {self.tokenizer.k}"
             )
         # Optimizers are built long after load (pretrain after the corpus,
         # finetune after the data and checkpoint), so check their settings now.

@@ -71,22 +71,16 @@ PROBE_SEQUENCES = 16
 def schedule_from_config(run: RunConfig) -> MaskSchedule:
     """The run's mask schedule: staged for RandomMask, one stage of width k for the baseline.
 
-    The stage table is validated in both modes, so a baseline config with a
-    bad table is rejected as a RandomMask one would be.
+    ``RunConfig`` checks on load that both can be built: the stage table in
+    either mode, and an even ``tokenizer.k`` in baseline mode.
     """
-    staged = MaskSchedule(
-        total_steps=run.training.total_steps,
-        stage_fractions=run.masking.stage_fractions,
-        base_width=run.masking.base_width,
-        width_increment=run.masking.width_increment,
-    )
     if run.masking.mode == "baseline":
         return MaskSchedule(
             total_steps=run.training.total_steps,
             stage_fractions=(1.0,),
             base_width=run.tokenizer.k,
         )
-    return staged
+    return run.masking.staged_schedule(run.training.total_steps)
 
 
 def policy_from_config(run: RunConfig) -> CorruptionPolicy:

@@ -39,8 +39,8 @@ class TestRunConfig:
             run_config_from_dict({"masking": {"policy": {"p_masky": 0.8}}})
 
     def test_partial_sections_merge_with_defaults(self):
-        run = run_config_from_dict({"training": {"total_steps": 7}})
-        assert run.training.total_steps == 7
+        run = run_config_from_dict({"training": {"total_steps": 50}})
+        assert run.training.total_steps == 50
         assert run.training.batch_size == 16
 
     def test_motif_formats(self):
@@ -338,6 +338,44 @@ def test_optimizer_settings_and_k_checked_on_load(values, error, words, tmp_path
 def test_optimizer_and_k_flags_checked_on_load(flags, words, capsys):
     assert main(["mask-stats", "--samples", "10", "--seq-len", "16", *flags]) == 2
     assert words in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("command", ["mask-stats", "pretrain", "finetune"])
+@pytest.mark.parametrize("masking,flags,words", [
+    ({"base_width": 5}, [], "masking: base_width"),
+    ({"stage_fractions": [0.5, 0.2, 1.0]}, [], "masking: stage fractions"),
+    ({"mode": "baseline", "base_width": 5}, [], "masking: base_width"),
+    ({}, ["--total-steps", "7"], "masking: total_steps 7 too small"),
+    ({}, ["--masking-mode", "baseline", "--k", "5"], "tokenizer.k 5"),
+])
+def test_masking_section_checked_on_load(command, masking, flags, words, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**SMALL_RUN, "masking": masking}), encoding="utf-8")
+    data = tmp_path / "train.csv"
+    data.write_text("sequence,label\nACGTACGT,0\nTTGCATGC,1\n", encoding="utf-8")
+    argv = {
+        "mask-stats": ["mask-stats", "--samples", "10", "--seq-len", "16"],
+        "pretrain": ["pretrain", "--out", str(tmp_path / "run")],
+        "finetune": ["finetune", "--data", str(data), "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv + ["--config", str(p), *flags]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ConfigInvalid" and words in err["message"]
+    if "--k" in flags:
+        assert "masking.mode" in err["message"] and "base_width" not in err["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_flags_merge_before_the_cross_section_checks(tmp_path, capsys):
+    # The file alone would be refused; the flags make the effective config valid.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"tokenizer": {"k": 6}, "masking": {"mode": "baseline"},
+                             "training": {"total_steps": 7}}), encoding="utf-8")
+    assert main(["mask-stats", "--samples", "10", "--seq-len", "16", "--config", str(p),
+                 "--total-steps", "100", "--k", "5", "--masking-mode", "randommask"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["total_steps"] == 100 and obj["mode"] == "randommask"
 
 
 # Every int-annotated key of the run config, written out.
@@ -650,10 +688,9 @@ class TestCliPretrainAnalyze:
     def test_analyze_missing_checkpoint_usage_error(self, capsys):
         assert main(["analyze", "--checkpoint", "/no/such/dir"]) == 2
 
-    # finetune warns and starts from random init when the path is absent.
     @pytest.mark.parametrize("command,missing", [
         ("analyze", True), ("analyze", False), ("pretrain", True), ("pretrain", False),
-        ("finetune", False),
+        ("finetune", True), ("finetune", False),
     ])
     def test_unreadable_checkpoint_usage_error(self, command, missing, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
@@ -674,10 +711,11 @@ class TestCliPretrainAnalyze:
 
     @pytest.mark.parametrize("damage,words", [
         ("manifest_not_json", "not valid JSON"),
-        ("manifest_missing_keys", "'tensors'"),
-        ("params_truncated", "ends at"),
-        ("param_dropped", "do not match"),
-        ("moment_dropped", "do not match"),
+        ("manifest_missing_keys", "'step'"),
+        ("manifest_schema_1", "unsupported checkpoint schema 1"),
+        ("params_truncated", "params.bin holds 1001 bytes"),
+        ("blob_extended", "bytes, its manifest says"),
+        ("blob_flipped", "sha256"),
     ])
     def test_malformed_checkpoint_usage_error(self, damage, words, small_config, tmp_path,
                                               capsys):
@@ -687,15 +725,23 @@ class TestCliPretrainAnalyze:
         if damage == "manifest_not_json":
             (ckpt / "manifest.json").write_text("{", encoding="utf-8")
         elif damage == "manifest_missing_keys":
-            (ckpt / "manifest.json").write_text('{"schema": 1}', encoding="utf-8")
+            (ckpt / "manifest.json").write_text('{"schema": 2}', encoding="utf-8")
+        elif damage == "manifest_schema_1":
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            (ckpt / "manifest.json").write_text(json.dumps({**manifest, "schema": 1}),
+                                                encoding="utf-8")
         elif damage == "params_truncated":
             with open(ckpt / "params.bin", "r+b") as fh:
                 fh.truncate(1001)
-        else:
-            dropped = {"param_dropped": "param.pos_emb", "moment_dropped": "opt.v.pos_emb"}[damage]
-            manifest = json.loads((ckpt / "manifest.json").read_text())
-            manifest["tensors"] = [t for t in manifest["tensors"] if t["name"] != dropped]
-            (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        elif damage == "blob_extended":
+            with open(ckpt / "params.bin", "ab") as fh:
+                fh.write(b"\0")
+        else:  # one byte flipped in place, the blob keeps its length
+            with open(ckpt / "params.bin", "r+b") as fh:
+                fh.seek(1000)
+                byte = fh.read(1)[0]
+                fh.seek(1000)
+                fh.write(bytes([byte ^ 0xFF]))
         data = tmp_path / "train.csv"
         data.write_text("sequence,label\nACGTACGT,0\nTTGCATGC,1\n", encoding="utf-8")
         capsys.readouterr()
@@ -758,7 +804,8 @@ class TestCliFinetune:
         p.write_text("\n".join(rows) + "\n", encoding="utf-8")
         return str(p)
 
-    def test_finetune_without_checkpoint_warns_and_runs(self, labeled_csv, tmp_path, capsys):
+    def test_finetune_without_checkpoint_runs_from_random_init(self, labeled_csv, tmp_path,
+                                                                capsys):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({
             "tokenizer": {"k": 3},
@@ -767,11 +814,9 @@ class TestCliFinetune:
             "training": {"seed": 2},
         }), encoding="utf-8")
         out = str(tmp_path / "ft")
-        rc = main(["finetune", "--config", str(cfgp), "--data", labeled_csv,
-                   "--checkpoint", str(tmp_path / "missing_ckpt"), "--out", out])
-        captured = capsys.readouterr()
+        rc = main(["finetune", "--config", str(cfgp), "--data", labeled_csv, "--out", out])
         assert rc == 0
-        assert "random initialization" in captured.err
+        assert capsys.readouterr().err == ""
         csv_lines = open(os.path.join(out, "metrics.csv")).read().strip().split("\n")
         assert csv_lines[0] == "epoch,loss,mcc"
         assert len(csv_lines) == 3

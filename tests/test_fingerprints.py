@@ -38,7 +38,7 @@ EXPECTED = {
     "baseline/params.bin": "7c83421d25d47ad56e9d79e7fe38d1f1a9cafab52c43760275b1babd4d77b9b9",
     "analyze.json": "a412dbc9af59f99940ba7df04d3bc2d1003f6fa5c54b3e03473f4346ebaa20f9",
     "mask-stats.json": "7afd4b841570b65e12a46a7fa4e765c4199405a1a1aee92323e2808cea853fd2",
-    "randommask/manifest.json": "171301e2378beb292adbdc815fbf5c894b400346ede9bc1be00b3a5eb32a57cb",
+    "randommask/manifest.json": "83993b1b08c8733b34a4102fd7ade380379b429bb9cd0596e824f632012e2013",
     "finetune/metrics.csv": "45ee6761a6a678adf49cf0795c3c57b7f862fd6c00907dde48075dcbf0177f7b",
     "finetune/metrics.json": "205681201b0cdad670479eba81a7c8e30a48f8d1f3aa29ed4ba8bbe48533810a",
     "config-echo.json": "cf985b74fa11577cf507461ff124e9429e2f03c4eaa31c434edbff67e1f49dc1",

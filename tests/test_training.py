@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -123,8 +125,10 @@ class TestTrainStep:
 
 
 class TestCheckpoint:
-    def test_bit_exact_round_trip(self, tmp_path):
-        cfg = tiny_config(dtype="float32")
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bit_exact_round_trip(self, dtype, tied, tmp_path):
+        cfg = tiny_config(dtype=dtype, tie_embeddings=tied)
         params = init_model(cfg)
         opt = init_optimizer(params, lr=3e-4, weight_decay=0.01)
         for s in range(5):
@@ -142,6 +146,47 @@ class TestCheckpoint:
             assert np.array_equal(ck.opt_state.v[name], opt.v[name])
         assert ck.opt_state.step == opt.step
         assert ck.opt_state.lr == opt.lr
+
+    def test_round_trip_after_head_resize(self, tmp_path):
+        vocab = build_vocab(3)
+        cfg = ModelConfig(vocab_size=vocab.size, num_layers=1, num_heads=2, hidden_dim=8,
+                          ff_dim=16, max_len=16, dtype="float32", seed=0)
+        data = [LabeledExample(DnaSequence(f"s{i}", "ACGTACGTAC"[i:] + "TTGCA"), i % 3)
+                for i in range(6)]
+        params, _ = finetune_classify(init_model(cfg), data, 3, vocab,
+                                      FinetuneConfig(epochs=1, batch_size=3))
+        assert params.config.num_classes == 3 and params["cls_b"].shape == (3,)
+        save_checkpoint(str(tmp_path / "ck"), params)
+        ck = load_checkpoint(str(tmp_path / "ck"))
+        assert ck.params.config == params.config
+        assert list(ck.params.arrays) == list(params.arrays)
+        for name, arr in params.arrays.items():
+            assert ck.params[name].tobytes() == arr.tobytes()
+
+    def test_save_leaves_no_temp_file(self, tmp_path):
+        params = init_model(tiny_config())
+        save_checkpoint(str(tmp_path / "ck"), params, init_optimizer(params, lr=1e-3))
+        assert sorted(os.listdir(tmp_path / "ck")) == ["manifest.json", "params.bin"]
+
+    def test_crash_between_the_two_moves_is_refused(self, tmp_path, monkeypatch):
+        ck = str(tmp_path / "ck")
+        params = init_model(tiny_config())
+        save_checkpoint(ck, params, step=1)
+        params["pos_emb"][0, 0] += 1.0
+        real_replace = os.replace
+
+        def crash_on_manifest(src, dst):
+            if dst.endswith("manifest.json"):
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_manifest)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_checkpoint(ck, params, step=2)
+        monkeypatch.undo()
+        # The new blob now sits beside the old manifest.
+        with pytest.raises(ConfigInvalid, match="sha256"):
+            load_checkpoint(ck)
 
     def test_params_only_checkpoint(self, tmp_path):
         cfg = tiny_config()
