@@ -49,7 +49,6 @@ from .model import (
     init_model,
     init_optimizer,
     load_checkpoint,
-    mlm_loss,
     save_checkpoint,
     train_step,
 )

@@ -49,7 +49,7 @@ from .pipeline import (
     run_diagnostics,
     schedule_from_config,
 )
-from .rng import STREAM_MASK, split
+from .rng import PATH_LIMIT, STREAM_MASK, split
 from .tokenizer import Strategy, build_vocab, encode
 
 REPORT_DIR_ENV = "DNAMLM_REPORT_DIR"
@@ -143,8 +143,8 @@ def cmd_mask_stats(args: argparse.Namespace) -> int:
     schedule = schedule_from_config(run)
     p = run.masking.p
     step = args.step if args.step is not None else total
-    if step < 1:
-        raise ConfigInvalid(f"--step must be >= 1, got {step}")
+    if not 1 <= step < PATH_LIMIT:
+        raise ConfigInvalid(f"--step must be in [1, 2**32), got {step}")
     if args.samples < 1:
         raise ConfigInvalid(f"--samples must be >= 1, got {args.samples}")
     seq_len = args.seq_len

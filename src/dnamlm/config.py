@@ -14,7 +14,7 @@ each key has one default and one check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, get_type_hints
 
 from .corpus import CorpusSettings
@@ -23,6 +23,7 @@ from .masking import DEFAULT_STAGE_FRACTIONS, CorruptionPolicy, MaskSchedule
 from .model.config import ModelSettings, check_types, type_checks
 from .model.optimizer import check_hyperparameters
 from .model.training import FinetuneSettings
+from .rng import PATH_LIMIT
 from .tokenizer import Strategy, check_k
 
 @dataclass(frozen=True)
@@ -67,6 +68,10 @@ class TrainingSection:
     def __post_init__(self) -> None:
         if self.total_steps < 1 or self.batch_size < 1:
             raise ConfigInvalid("training.total_steps and batch_size must be >= 1")
+        if self.total_steps >= PATH_LIMIT:  # a step keys its rng streams
+            raise ConfigInvalid(f"training.total_steps must be < 2**32, got {self.total_steps}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"training.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def override(self, section: str, **updates) -> "RunConfig":
-        """Return a copy with ``updates`` applied to one section, checked as on load."""
-        if section not in _SECTIONS:
-            raise ConfigInvalid(f"unknown config section {section!r}")
-        values = {**asdict(getattr(self, section)), **updates}
-        return replace(self, **{section: _build_section(_SECTIONS[section], values, section)})
-
 
 #: Section name -> section class, from RunConfig's own fields.
 _SECTIONS = get_type_hints(RunConfig)
@@ -124,9 +122,13 @@ def _build_section(cls, obj: Any, path: str):
         raise ConfigInvalid(f"{path} must be an object, got {type(obj).__name__}")
     if "policy" in obj:
         obj = {**obj, "policy": _build_section(CorruptionPolicy, obj["policy"], f"{path}.policy")}
-    # The section's own checks run first, then each value meets its annotation.
+    # The section's own checks run first, then each value meets its annotation;
+    # a value its annotation refuses is named as such, whichever check failed.
     try:
         section = cls(**obj)
+    except ConfigInvalid:
+        check_types(_CHECKS[cls], obj, path)
+        raise
     except (AttributeError, TypeError, ValueError) as exc:
         check_types(_CHECKS[cls], obj, path)
         raise ConfigInvalid(f"bad value in {path}: {exc}") from None

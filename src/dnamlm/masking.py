@@ -80,10 +80,6 @@ class MaskSchedule:
         return [self.base_width + self.width_increment * i for i in range(stage + 1)]
 
 
-#: Reference schedule of the full-scale run.
-REFERENCE_SCHEDULE = MaskSchedule(total_steps=500_000)
-
-
 def allowed_widths(step: int, schedule: MaskSchedule) -> list[int]:
     """Span widths available at ``step``: [6], then [6, 8], ... per stage.
 
@@ -161,11 +157,6 @@ class CorruptionPolicy:
             raise ConfigInvalid("corruption probabilities must be non-negative")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigInvalid("corruption probabilities must sum to 1 +/- 1e-9")
-
-    @classmethod
-    def pure_mask(cls) -> "CorruptionPolicy":
-        """Every masked position becomes [MASK]; isolates the masking mechanism."""
-        return cls(p_mask=1.0, p_random=0.0, p_keep=0.0)
 
 
 def apply_corruption(

@@ -2,7 +2,7 @@
 
 from .config import ModelConfig, param_shapes
 from .params import ModelParams, init_model
-from .network import Batch, ForwardTrace, backward, forward, mlm_loss
+from .network import Batch, ForwardTrace, backward, forward
 from .optimizer import OptimizerState, adamw_step, init_optimizer
 from .training import FinetuneConfig, finetune_classify, train_step
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -19,7 +19,6 @@ __all__ = [
     "init_model",
     "forward",
     "backward",
-    "mlm_loss",
     "init_optimizer",
     "adamw_step",
     "train_step",

@@ -6,6 +6,7 @@ adds the vocabulary size, class count and seed, which a run derives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -17,7 +18,8 @@ DTYPES = ("float32", "float64")
 
 def _accepts(hint):
     """A test for JSON values of ``hint``: ``bool`` takes only true/false, ``int``
-    no bool, ``float`` also an integer, a tuple a JSON list, ``X | None`` also null."""
+    no bool, ``float`` also an integer but never NaN or +-inf, a tuple a JSON
+    list, ``X | None`` also null."""
     args = get_args(hint)
     if get_origin(hint) in (Union, UnionType):
         tests = [_accepts(arm) for arm in args]
@@ -29,7 +31,8 @@ def _accepts(hint):
         return lambda v: (isinstance(v, (tuple, list)) and len(v) == len(tests)
                           and all(t(x) for t, x in zip(tests, v)))
     kinds = (int, float) if hint is float else get_origin(hint) or hint
-    return lambda v: isinstance(v, kinds) and (hint is bool or not isinstance(v, bool))
+    return lambda v: (isinstance(v, kinds) and (hint is bool or not isinstance(v, bool))
+                      and (not isinstance(v, float) or math.isfinite(v)))
 
 
 def type_checks(cls) -> dict:

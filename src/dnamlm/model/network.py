@@ -36,7 +36,6 @@ class ForwardTrace:
     logits: np.ndarray
     attentions: np.ndarray
     hidden: np.ndarray
-    pooled: np.ndarray
     padding_mask: np.ndarray
 
 
@@ -128,20 +127,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
-def _as_batch(ids: np.ndarray, padding_mask: np.ndarray | None):
+def _as_batch(ids: np.ndarray, padding_mask: np.ndarray):
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.ndim != 2:
-        raise ConfigInvalid(f"ids must be 1-D or 2-D, got shape {ids.shape}")
-    if padding_mask is None:
-        real = np.ones(ids.shape, dtype=bool)
-    else:
-        real = np.asarray(padding_mask, dtype=bool)
-        if real.ndim == 1:
-            real = real[None, :]
-        if real.shape != ids.shape:
-            raise ConfigInvalid(f"padding_mask shape {real.shape} != ids shape {ids.shape}")
+        raise ConfigInvalid(f"ids must be 2-D (batch, len), got shape {ids.shape}")
+    real = np.asarray(padding_mask, dtype=bool)
+    if real.shape != ids.shape:
+        raise ConfigInvalid(f"padding_mask shape {real.shape} != ids shape {ids.shape}")
     if not real.any(axis=1).all():
         raise ConfigInvalid("every sequence needs at least one real position")
     return ids, real
@@ -267,12 +259,9 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
 
 
 def forward(
-    params: ModelParams, ids: np.ndarray, padding_mask: np.ndarray | None = None
+    params: ModelParams, ids: np.ndarray, padding_mask: np.ndarray
 ) -> ForwardTrace:
-    """Full forward pass with per-layer attention maps and dense logits.
-
-    1-D inputs are promoted to a batch of one; the trace is always batched.
-    """
+    """Full forward pass of a (batch, len) batch: attention maps and dense logits."""
     ids, real = _as_batch(ids, padding_mask)
     hidden, layers = _encode(params, ids, real)
     logits = _mm(hidden, params.output_weight()) + params["mlm_b"]
@@ -281,28 +270,8 @@ def forward(
         logits=logits,
         attentions=attentions,
         hidden=hidden,
-        pooled=hidden[:, 0, :],
         padding_mask=real,
     )
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
-
-
-def mlm_loss(trace: ForwardTrace | np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over labeled positions; 0.0 when none are labeled."""
-    logits = trace.logits if isinstance(trace, ForwardTrace) else np.asarray(trace)
-    labels = np.asarray(labels)
-    if labels.ndim == logits.ndim - 2:
-        labels = labels[None, :]
-    keep = labels != IGNORE_LABEL
-    if not keep.any():
-        return 0.0
-    logp = _log_softmax(logits[keep])
-    picked = logp[np.arange(logp.shape[0]), labels[keep]]
-    return float(-picked.mean())
 
 
 def _mlm_head_backward(params: ModelParams, hidden: np.ndarray, labels: np.ndarray,
@@ -354,7 +323,8 @@ def _classifier_backward(params: ModelParams, hidden: np.ndarray, y: np.ndarray,
     if y.min() < 0 or y.max() >= params.config.num_classes:
         raise ConfigInvalid("class label outside [0, num_classes)")
     logits = pooled @ params["cls_w"] + params["cls_b"]
-    logp = _log_softmax(logits)
+    shifted = logits - logits.max(-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
     n = y.shape[0]
     loss = float(-logp[np.arange(n), y].mean())
     dlogits = np.exp(logp)
@@ -381,8 +351,6 @@ def backward(params: ModelParams, batch: Batch) -> tuple[float, dict[str, np.nda
     grads: dict[str, np.ndarray] = {}
     if batch.labels is not None:
         labels = np.asarray(batch.labels)
-        if labels.ndim == 1:
-            labels = labels[None, :]
         if labels.shape != ids.shape:
             raise ConfigInvalid(f"labels shape {labels.shape} != ids shape {ids.shape}")
         loss, dhidden = _mlm_head_backward(params, hidden, labels, grads)

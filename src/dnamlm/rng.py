@@ -21,6 +21,9 @@ STREAM_MASK = 3
 STREAM_SHUFFLE = 4
 STREAM_PROBE = 5
 
+#: Every path element, a training step among them, is below this.
+PATH_LIMIT = 2 ** 32
+
 
 def split(seed: int, *path: int) -> np.random.Generator:
     """Return a Philox generator keyed by ``(seed, *path)``.
@@ -36,7 +39,7 @@ def split(seed: int, *path: int) -> np.random.Generator:
     """
     key = tuple(int(p) for p in path)
     for p in key:
-        if p < 0 or p >= 2 ** 32:
+        if p < 0 or p >= PATH_LIMIT:
             raise ValueError(f"rng path element out of range [0, 2**32): {p}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

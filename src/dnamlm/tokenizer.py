@@ -199,7 +199,7 @@ def decode_overlapping(tokens: TokenSequence, vocab: Vocabulary) -> DnaSequence:
 
 
 def wrap_for_model(
-    tokens: TokenSequence | np.ndarray | list[int], vocab: Vocabulary, max_len: int
+    tokens: TokenSequence, vocab: Vocabulary, max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame token ids as [CLS] ids [SEP] and pad to ``max_len``.
 
@@ -208,8 +208,7 @@ def wrap_for_model(
     """
     if max_len < 3:
         raise ConfigInvalid(f"max_len must be >= 3, got {max_len}")
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else tokens
-    body = np.asarray(ids, dtype=np.int64)[: max_len - 2]
+    body = np.asarray(tokens.ids, dtype=np.int64)[: max_len - 2]
     framed = np.full(max_len, PAD_ID, dtype=np.int64)
     framed[0] = CLS_ID
     framed[1 : 1 + len(body)] = body

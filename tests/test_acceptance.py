@@ -30,7 +30,6 @@ from dnamlm.masking import (
     CorruptionPolicy,
     IGNORE_LABEL,
     MaskSchedule,
-    REFERENCE_SCHEDULE,
     allowed_widths,
     apply_corruption,
     expected_mask_fraction,
@@ -156,6 +155,10 @@ def test_criterion_01_tokenizer_exactness():
 
 
 # --- criterion 2: schedule exactness -----------------------------------------
+
+#: The paper's 500k-step schedule; criterion 3 masks at its step 400,000 too.
+REFERENCE_SCHEDULE = MaskSchedule(total_steps=500_000)
+
 
 def test_criterion_02_schedule_exactness():
     table = [
@@ -298,7 +301,7 @@ def test_criterion_06_overfit_probe():
     cfg = ModelConfig(vocab_size=vocab.size, max_len=61, seed=0)  # default 2x64x4
     params = init_model(cfg)
     opt = init_optimizer(params, lr=3e-3, weight_decay=0.0)
-    policy = CorruptionPolicy.pure_mask()
+    policy = CorruptionPolicy(1.0, 0.0, 0.0)
     sched = MaskSchedule(total_steps=2000)
 
     reached = None
@@ -391,7 +394,7 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
     picker = split(DESK_SEED, STREAM_PROBE, 1000)
     chosen = picker.integers(0, frames_ids.shape[0], size=num_sequences)
     rows, label_rows = [], []
-    policy = CorruptionPolicy.pure_mask()
+    policy = CorruptionPolicy(1.0, 0.0, 0.0)
     for slot, widx in enumerate(chosen):
         rng = split(DESK_SEED, STREAM_PROBE, 2000 + slot)
         frame = frames_ids[widx]

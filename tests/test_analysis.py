@@ -124,7 +124,6 @@ def make_trace(attn: np.ndarray, real: np.ndarray) -> ForwardTrace:
         logits=np.zeros((b, l, 9)),
         attentions=attn,
         hidden=np.zeros((b, l, 4)),
-        pooled=np.zeros((b, 4)),
         padding_mask=real,
     )
 

@@ -70,8 +70,8 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             run_config_from_dict({"masking": {"policy": {"p_mask": "most"}}})
 
-    def test_override(self):
-        run = RunConfig().override("training", seed=4, total_steps=55)
+    def test_two_keys_of_one_section(self):
+        run = run_config_from_dict({"training": {"seed": 4, "total_steps": 55}})
         assert run.training.seed == 4 and run.training.total_steps == 55
 
     def test_retired_workers_key_dropped(self):
@@ -266,6 +266,7 @@ class TestCliMaskStats:
         ["--samples", "-3"],
         ["--step", "0"],
         ["--step", "-2"],
+        ["--step", "4294967296"],
     ])
     def test_bad_flag_is_usage_error(self, flags, capsys):
         rc = main(["mask-stats", "--total-steps", "100", "--seq-len", "32"] + flags)
@@ -347,8 +348,11 @@ def test_optimizer_and_k_flags_checked_on_load(flags, words, capsys):
     ({"mode": "baseline", "base_width": 5}, [], "masking: base_width"),
     ({}, ["--total-steps", "7"], "masking: total_steps 7 too small"),
     ({}, ["--masking-mode", "baseline", "--k", "5"], "tokenizer.k 5"),
+    ({}, ["--seed", "-3"], "training.seed must be >= 0"),
+    ({}, ["--total-steps", "4294967296"], "training.total_steps must be < 2**32"),
+    ({}, ["--lr", "nan"], "training.lr"),
 ])
-def test_masking_section_checked_on_load(command, masking, flags, words, tmp_path, capsys):
+def test_settings_checked_on_load(command, masking, flags, words, tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**SMALL_RUN, "masking": masking}), encoding="utf-8")
     data = tmp_path / "train.csv"
@@ -403,12 +407,9 @@ class TestIntegerKeys:
 
     @pytest.mark.parametrize("section,key", INTEGER_KEYS)
     @pytest.mark.parametrize("value", [6.5, 16.0, True])
-    def test_non_integer_rejected_on_load_and_override(self, section, key, value, tmp_path,
-                                                       capsys):
+    def test_non_integer_rejected_on_load(self, section, key, value, tmp_path, capsys):
         with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
             run_config_from_dict({section: {key: value}})
-        with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
-            RunConfig().override(section, **{key: value})
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
         assert main(["mask-stats", "--samples", "10", "--seq-len", "16",
@@ -442,31 +443,38 @@ class TestIntegerKeys:
             "finetune": {"lr": 1},
         })
         assert run.corpus.window_stride is None and run.training.lr == 1
-        assert RunConfig().override("corpus", window_stride=None) == RunConfig()
+        assert run_config_from_dict({"corpus": {"window_stride": None}}) == RunConfig()
 
 
 def _annotated_keys(cls, path):
-    """(section path, key, annotation) for every key under ``cls``, nested ones too."""
+    """(section path, key, annotation, default) for every key under ``cls``, nested ones too."""
+    defaults = cls()
     for key, hint in typing.get_type_hints(cls).items():
         if dataclasses.is_dataclass(hint):
             yield from _annotated_keys(hint, f"{path}.{key}")
-        yield path, key, hint
+        yield path, key, hint, getattr(defaults, key)
 
 
-def _wrong_typed(hint):
+def _wrong_typed(hint, default):
     """JSON values the annotation refuses: a string for a number or a list,
-    "no" or 1 for a bool, a number for a string, null unless Optional."""
+    "no" or 1 for a bool, a number for a string, null unless Optional, NaN
+    and +-inf for a float, and the default list with a NaN or an inf in it
+    for a list of floats."""
     union = typing.get_origin(hint) in (typing.Union, types.UnionType)
     arms = typing.get_args(hint) if union else (hint,)
     wrong = [5] if str in arms else ["no", 1] if bool in arms else ["x"]
+    if float in arms:
+        wrong += [math.nan, math.inf, -math.inf]
+    if tuple[float, ...] in arms:
+        wrong += [[math.nan, *default[1:]], [*default[:-1], math.inf]]
     return wrong + ([] if type(None) in arms else [None])
 
 
 WRONG_TYPED = [
     (path, key, value)
     for section, cls in typing.get_type_hints(RunConfig).items()
-    for path, key, hint in _annotated_keys(cls, section)
-    for value in _wrong_typed(hint)
+    for path, key, hint, default in _annotated_keys(cls, section)
+    for value in _wrong_typed(hint, default)
 ]
 
 
@@ -482,9 +490,8 @@ class TestAnnotatedTypes:
                      "--config", str(p)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert key in json.loads(line)["message"]
-        if "." not in path:   # a flag sets its key through the same check
-            with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
-                RunConfig().override(path, **{key: value})
+        with pytest.raises((ConfigInvalid, KOutOfRange), match=key):
+            run_config_from_dict(obj)
 
     @pytest.mark.parametrize("motifs", [[[1, 0.5]], [["ACGT", 0.5, 1]], [["ACGT", "0.5"]],
                                         ["ACGT"]])
@@ -534,6 +541,7 @@ class TestManifestValues:
     @pytest.mark.parametrize("keys,value,words", [
         (("optimizer", "lr"), "x", "optimizer.lr"),
         (("optimizer", "lr"), -1, "learning rate"),
+        (("optimizer", "lr"), math.nan, "optimizer.lr"),
         (("optimizer", "step"), -5, "optimizer step"),
         (("step",), -5, "step"),
         (("step",), True, "step"),
@@ -847,13 +855,14 @@ class TestCliFinetune:
         assert json.loads(line)["error"] == "EmptyDataset"
         assert not out.exists()
 
-    def test_finetune_negative_lr_is_usage_error(self, labeled_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("lr,words", [("-1", "learning rate"), ("nan", "finetune.lr")])
+    def test_finetune_bad_lr_is_usage_error(self, lr, words, labeled_csv, tmp_path, capsys):
         out = str(tmp_path / "ft")
-        rc = main(["finetune", "--data", labeled_csv, "--finetune-lr", "-1", "--out", out])
+        rc = main(["finetune", "--data", labeled_csv, "--finetune-lr", lr, "--out", out])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid"
-        assert "learning rate" in err["message"]
+        assert words in err["message"]
         assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
     def test_every_finetune_key_reaches_finetune_config(

@@ -8,7 +8,6 @@ from dnamlm.masking import (
     CorruptionPolicy,
     IGNORE_LABEL,
     MaskSchedule,
-    REFERENCE_SCHEDULE,
     allowed_widths,
     apply_corruption,
     expected_mask_fraction,
@@ -17,6 +16,9 @@ from dnamlm.masking import (
 )
 from dnamlm.rng import split
 from dnamlm.tokenizer import MASK_ID, build_vocab
+
+#: The paper's 500k-step schedule.
+REFERENCE_SCHEDULE = MaskSchedule(total_steps=500_000)
 
 
 class ForcedRng:
@@ -235,7 +237,7 @@ class TestCorruption:
         ids = np.array([2, 7, 8, 9, 3], dtype=np.int64)
         plan = plan_mask(5, 1, 0.5, REFERENCE_SCHEDULE, ForcedRng({2, 3}))
         plan.mask_ids = np.array([2, 3])
-        out, labels = apply_corruption(ids, plan, CorruptionPolicy.pure_mask(), self.vocab, split(0, 6))
+        out, labels = apply_corruption(ids, plan, CorruptionPolicy(1.0, 0.0, 0.0), self.vocab, split(0, 6))
         assert out.tolist() == [2, 7, MASK_ID, MASK_ID, 3]
         assert labels.tolist() == [IGNORE_LABEL, IGNORE_LABEL, 8, 9, IGNORE_LABEL]
 

@@ -13,7 +13,6 @@ from dnamlm.model import (
     backward,
     forward,
     init_model,
-    mlm_loss,
 )
 from dnamlm.model.network import _contract
 
@@ -118,15 +117,29 @@ class TestForward:
         cfg = tiny_config(max_len=8)
         params = init_model(cfg)
         with pytest.raises(LengthExceeded):
-            forward(params, np.full((1, 9), 5))
+            forward(params, np.full((1, 9), 5), np.ones((1, 9), bool))
 
-    def test_1d_input_promoted(self):
+    def test_trace_shapes(self):
         cfg = tiny_config()
         params = init_model(cfg)
-        trace = forward(params, np.full(6, 5))
+        trace = forward(params, np.full((1, 6), 5), np.ones((1, 6), bool))
         assert trace.logits.shape == (1, 6, cfg.vocab_size)
-        assert trace.pooled.shape == (1, cfg.hidden_dim)
+        assert trace.hidden.shape == (1, 6, cfg.hidden_dim)
         assert trace.attentions.shape == (1, 1, 2, 6, 6)
+
+    @pytest.mark.parametrize("ids,mask,words", [
+        (np.full(6, 5), np.ones(6, bool), "ids must be 2-D"),
+        (np.full((1, 6), 5), np.ones(6, bool), "padding_mask shape"),
+        (np.full((1, 6), 5), None, "padding_mask shape"),
+    ])
+    @pytest.mark.parametrize("run", ["forward", "backward"])
+    def test_only_a_masked_2d_batch_is_accepted(self, ids, mask, words, run):
+        params = init_model(tiny_config())
+        with pytest.raises(ConfigInvalid, match=words):
+            if run == "forward":
+                forward(params, ids, mask)
+            else:
+                backward(params, Batch(ids, mask, labels=np.full(ids.shape, IGNORE_LABEL)))
 
     def test_permutation_equivariance_without_positions(self):
         cfg = tiny_config(num_layers=2)
@@ -134,10 +147,11 @@ class TestForward:
         params["pos_emb"][:] = 0.0
         rng = np.random.default_rng(0)
         ids = rng.integers(5, cfg.vocab_size, size=(1, 8))
-        trace = forward(params, ids)
+        real = np.ones((1, 8), bool)
+        trace = forward(params, ids, real)
         perm_ids = ids.copy()
         perm_ids[0, 2], perm_ids[0, 6] = ids[0, 6], ids[0, 2]
-        trace_p = forward(params, perm_ids)
+        trace_p = forward(params, perm_ids, real)
         assert np.allclose(trace.logits[0, 2], trace_p.logits[0, 6], atol=1e-10)
         assert np.allclose(trace.logits[0, 6], trace_p.logits[0, 2], atol=1e-10)
         assert np.allclose(trace.logits[0, 0], trace_p.logits[0, 0], atol=1e-10)
@@ -160,7 +174,7 @@ class TestForward:
         cfg = tiny_config()
         params = init_model(cfg)
         with pytest.raises(ConfigInvalid):
-            forward(params, np.full((1, 4), cfg.vocab_size))
+            forward(params, np.full((1, 4), cfg.vocab_size), np.ones((1, 4), bool))
 
     def test_nonzero_dropout_rejected_at_forward(self):
         # The trainer runs no dropout, so the config cannot be built with any.
@@ -168,39 +182,48 @@ class TestForward:
             tiny_config(dropout_rate=0.1)
 
 
+def _with_head(cfg: ModelConfig, weight: float, bias: np.ndarray):
+    """Fresh params whose MLM head scores every position with ``bias`` alone."""
+    params = init_model(cfg)
+    params["mlm_w"][:] = weight
+    params["mlm_b"][:] = bias
+    return params
+
+
 class TestMlmLoss:
+    """The training loss, the sparse head inside ``backward``, on labelled batches."""
+
     def test_uniform_logits_equal_log_vocab(self):
-        logits = np.zeros((1, 3, 4101))
+        cfg = tiny_config(vocab_size=4101)
+        params = _with_head(cfg, 0.0, 0.0)
+        ids = np.full((1, 3), 7)
         labels = np.array([[7, IGNORE_LABEL, 9]])
-        assert mlm_loss(logits, labels) == pytest.approx(np.log(4101), rel=1e-12)
+        loss, _ = backward(params, Batch(ids, np.ones((1, 3), bool), labels))
+        assert loss == pytest.approx(np.log(4101), rel=1e-12)
 
     def test_one_hot_limit(self):
-        logits = np.full((1, 2, 10), -30.0)
-        logits[0, 0, 4] = 30.0
-        logits[0, 1, 7] = 30.0
-        labels = np.array([[4, 7]])
-        assert mlm_loss(logits, labels) < 1e-8
+        cfg = tiny_config(vocab_size=10)
+        bias = np.full(10, -30.0)
+        bias[7] = 30.0
+        params = _with_head(cfg, 0.0, bias)
+        ids = np.full((1, 2), 6)
+        loss, _ = backward(params, Batch(ids, np.ones((1, 2), bool), np.full((1, 2), 7)))
+        assert loss < 1e-8
 
     def test_all_ignored_is_zero(self):
-        logits = np.random.default_rng(0).normal(size=(2, 4, 10))
+        cfg = tiny_config(vocab_size=10)
+        ids = np.random.default_rng(0).integers(5, 10, size=(2, 4))
         labels = np.full((2, 4), IGNORE_LABEL)
-        assert mlm_loss(logits, labels) == 0.0
+        loss, _ = backward(init_model(cfg), Batch(ids, np.ones((2, 4), bool), labels))
+        assert loss == 0.0
 
     def test_loss_near_log_vocab_at_init(self):
         cfg = ModelConfig(vocab_size=4101, seed=0, max_len=64)
         params = init_model(cfg)
         rng = np.random.default_rng(1)
         ids = rng.integers(5, 4101, size=(4, 40))
-        trace = forward(params, ids)
-        loss = mlm_loss(trace, ids.copy())
+        loss, _ = backward(params, Batch(ids, np.ones((4, 40), bool), ids.copy()))
         assert abs(loss - np.log(4101)) / np.log(4101) < 0.01
-
-    def test_trace_and_raw_logits_agree(self):
-        cfg = tiny_config()
-        params = init_model(cfg)
-        batch = random_mlm_batch(cfg, 4)
-        trace = forward(params, batch.ids, batch.padding_mask)
-        assert mlm_loss(trace, batch.labels) == mlm_loss(trace.logits, batch.labels)
 
 
 def relative_error(a: float, fd: float) -> float:
@@ -294,13 +317,17 @@ class TestBackward:
         with pytest.raises(ConfigInvalid):
             backward(params, Batch(ids, np.ones((1, 5), bool)))
 
-    def test_sparse_head_loss_matches_dense_mlm_loss(self):
+    def test_sparse_head_loss_matches_forward_logits(self):
         cfg = tiny_config(num_layers=2, seed=8)
         params = init_model(cfg)
         batch = random_mlm_batch(cfg, 77)
         loss, _ = backward(params, batch)
-        trace = forward(params, batch.ids, batch.padding_mask)
-        assert loss == pytest.approx(mlm_loss(trace, batch.labels), rel=1e-12)
+        logits = forward(params, batch.ids, batch.padding_mask).logits
+        keep = batch.labels != IGNORE_LABEL
+        rows = logits[keep] - logits[keep].max(-1, keepdims=True)
+        logp = rows - np.log(np.exp(rows).sum(-1, keepdims=True))
+        dense = -logp[np.arange(rows.shape[0]), batch.labels[keep]].mean()
+        assert loss == pytest.approx(dense, rel=1e-12)
 
 
 # Gradients of a desk-sized float32 batch: the weight gradients sum over

@@ -298,36 +298,40 @@ class TestDecode:
                 assert decode_overlapping(encode_overlapping(seq(bases), v), v).bases == bases
 
 
+def k3_tokens(ids) -> TokenSequence:
+    return TokenSequence(ids=ids, strategy=Strategy.OVERLAPPING, k=3)
+
+
 class TestWrapForModel:
     def test_basic_frame(self):
         v = build_vocab(3)
-        ids, mask = wrap_for_model([7, 8], v, 6)
+        ids, mask = wrap_for_model(k3_tokens([7, 8]), v, 6)
         assert ids.tolist() == [CLS_ID, 7, 8, SEP_ID, PAD_ID, PAD_ID]
         assert mask.tolist() == [True, True, True, True, False, False]
 
     def test_truncation(self):
         v = build_vocab(3)
-        ids, mask = wrap_for_model(list(range(10, 20)), v, 6)
+        ids, mask = wrap_for_model(k3_tokens(list(range(10, 20))), v, 6)
         assert ids.tolist() == [CLS_ID, 10, 11, 12, 13, SEP_ID]
         assert mask.all()
 
     def test_empty_ids(self):
         v = build_vocab(3)
-        ids, mask = wrap_for_model([], v, 3)
+        ids, mask = wrap_for_model(k3_tokens([]), v, 3)
         assert ids.tolist() == [CLS_ID, SEP_ID, PAD_ID]
         assert mask.tolist() == [True, True, False]
 
     def test_min_length_validated(self):
         v = build_vocab(3)
         with pytest.raises(ConfigInvalid):
-            wrap_for_model([5], v, 2)
+            wrap_for_model(k3_tokens([5]), v, 2)
 
-    def test_list_and_array_frame_alike(self):
+    def test_ids_held_as_list_or_array_frame_alike(self):
         v = build_vocab(3)
         for ids in ([], [7], list(range(5, 12)), list(range(5, 30))):
             for max_len in (3, 8, 16):
-                from_list = wrap_for_model(ids, v, max_len)
-                from_array = wrap_for_model(np.asarray(ids, dtype=np.int64), v, max_len)
+                from_list = wrap_for_model(k3_tokens(ids), v, max_len)
+                from_array = wrap_for_model(k3_tokens(np.asarray(ids, dtype=np.int64)), v, max_len)
                 for a, b in zip(from_list, from_array):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
 

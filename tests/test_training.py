@@ -324,7 +324,7 @@ class TestPredictClasses:
             ids[row, :n] = rng.integers(5, cfg.vocab_size, size=n)
             real[row, :n] = True
         trace = forward(params, ids, real)
-        want = (trace.pooled @ params["cls_w"] + params["cls_b"]).argmax(-1)
+        want = (trace.hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]).argmax(-1)
         for batch_size in (256, 3, 1):
             got = predict_classes(params, ids, real, batch_size=batch_size)
             assert got.dtype == want.dtype
