@@ -93,14 +93,13 @@ def _masked_query_rows(attentions: np.ndarray, padding_mask: np.ndarray,
                        masked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Select attention rows of masked, real query positions.
 
-    Returns (rows, key_mask) with rows shaped (layers, heads, n_queries,
-    len) and key_mask (n_queries, len).
+    ``masked`` has the padding mask's (batch, len) shape.  Returns (rows,
+    key_mask) with rows shaped (layers, heads, n_queries, len) and key_mask
+    (n_queries, len).
     """
     attn = np.asarray(attentions)
     real = np.asarray(padding_mask, dtype=bool)
     masked = np.asarray(masked, dtype=bool)
-    if masked.ndim == 1:
-        masked = masked[None, :]
     if masked.shape != real.shape:
         raise ConfigInvalid(f"masked shape {masked.shape} != padding mask {real.shape}")
     query = masked & real
@@ -143,6 +142,9 @@ def attention_entropy(trace, masked: np.ndarray) -> np.ndarray:
 
 NUM_DINUCLEOTIDE_GROUPS = 16
 _SIX_MER_COUNT = 4 ** 6
+# Distance rows per block in `embedding_silhouette`: the working set is one
+# 256 x 4096 float64 block (8 MB), not the 128 MB full matrix.
+_SILHOUETTE_ROWS = 256
 
 
 def dinucleotide_groups() -> np.ndarray:
@@ -169,15 +171,20 @@ def embedding_silhouette(embeddings: np.ndarray) -> float:
     groups = dinucleotide_groups()
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     unit = np.divide(emb, norms, out=np.zeros_like(emb), where=norms > 0)
-    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
 
     onehot = np.zeros((_SIX_MER_COUNT, NUM_DINUCLEOTIDE_GROUPS))
     onehot[np.arange(_SIX_MER_COUNT), groups] = 1.0
     counts = onehot.sum(0)                       # 256 per group
-    sums = dist @ onehot                         # (n, groups)
+    sums = np.empty((_SIX_MER_COUNT, NUM_DINUCLEOTIDE_GROUPS))
+    self_dist = np.empty(_SIX_MER_COUNT)
+    for lo in range(0, _SIX_MER_COUNT, _SILHOUETTE_ROWS):
+        hi = lo + _SILHOUETTE_ROWS
+        block = np.clip(1.0 - unit[lo:hi] @ unit.T, 0.0, 2.0)
+        sums[lo:hi] = block @ onehot             # (rows, groups)
+        self_dist[lo:hi] = block[np.arange(hi - lo), np.arange(lo, hi)]
     own = groups
     # self-distance is excluded from the own-cluster mean
-    a = (sums[np.arange(_SIX_MER_COUNT), own] - np.diag(dist)) / (counts[own] - 1.0)
+    a = (sums[np.arange(_SIX_MER_COUNT), own] - self_dist) / (counts[own] - 1.0)
     mean_other = sums / counts
     mean_other[np.arange(_SIX_MER_COUNT), own] = np.inf
     b = mean_other.min(axis=1)

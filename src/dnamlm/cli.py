@@ -88,10 +88,18 @@ def _open_input(path: str):
         raise ConfigInvalid(f"cannot read {path!r}: {exc}") from None
 
 
+def _open_output(path: str):
+    """Open a user-supplied output path; one that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write --out {path!r}: {exc}") from None
+
+
 def _write_output(args: argparse.Namespace, text: str) -> int:
     """Write a command's text output to ``--out``, or else to stdout."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

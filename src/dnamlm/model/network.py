@@ -264,7 +264,8 @@ def forward(
     """Full forward pass of a (batch, len) batch: attention maps and dense logits."""
     ids, real = _as_batch(ids, padding_mask)
     hidden, layers = _encode(params, ids, real)
-    logits = _mm(hidden, params.output_weight()) + params["mlm_b"]
+    logits = _mm(hidden, params.output_weight())
+    logits += params["mlm_b"]
     attentions = np.stack([c["attn"] for c in layers])
     return ForwardTrace(
         logits=logits,

@@ -287,6 +287,13 @@ def pretrain_run(
         )
         start_step = 0
 
+    # Made before the first step, so an unusable out_dir fails before any training.
+    ckpt_dir = os.path.join(out_dir, CHECKPOINT_DIRNAME)
+    try:
+        os.makedirs(ckpt_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot create run directory {out_dir!r}: {exc}") from None
+
     records: list[StepRecord] = []
     for step in range(start_step + 1, end_step + 1):
         batch, _plans = assemble_batch(
@@ -313,9 +320,8 @@ def pretrain_run(
         attention=attention,
         silhouette=silhouette,
     )
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_dir = save_checkpoint(
-        os.path.join(out_dir, CHECKPOINT_DIRNAME),
+    save_checkpoint(
+        ckpt_dir,
         params,
         opt_state=opt,
         step=final_step,

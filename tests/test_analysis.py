@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -170,6 +171,13 @@ class TestAttentionMetrics:
         assert (ent <= math.log(l) + 1e-9).all()
         assert (ent >= 0.0).all()
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (1, 4)])
+    def test_masked_must_match_the_padding_mask(self, shape):
+        attn = np.full((1, 1, 1, 5, 5), 0.2)
+        real = np.ones((1, 5), bool)
+        with pytest.raises(ConfigInvalid, match="masked shape"):
+            attention_cls_mass(make_trace(attn, real), np.ones(shape, bool))
+
     def test_averages_only_over_masked_real_queries(self):
         b, h, l = 1, 1, 5
         attn = np.full((1, b, h, l, l), 1.0 / l)
@@ -200,6 +208,54 @@ class TestEmbeddingSilhouette:
     def test_wrong_shape_rejected(self):
         with pytest.raises(KNotSix):
             embedding_silhouette(np.zeros((256, 8)))
+
+    @staticmethod
+    def full_matrix_silhouette(embeddings):
+        """The silhouette from the whole 4096 x 4096 distance matrix at once."""
+        emb = np.asarray(embeddings, dtype=np.float64)
+        groups = dinucleotide_groups()
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        unit = np.divide(emb, norms, out=np.zeros_like(emb), where=norms > 0)
+        dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+        onehot = np.zeros((4096, 16))
+        onehot[np.arange(4096), groups] = 1.0
+        counts = onehot.sum(0)
+        sums = dist @ onehot
+        rows = np.arange(4096)
+        a = (sums[rows, groups] - np.diag(dist)) / (counts[groups] - 1.0)
+        mean_other = sums / counts
+        mean_other[rows, groups] = np.inf
+        b = mean_other.min(axis=1)
+        denom = np.maximum(a, b)
+        return float(np.divide(b - a, denom, out=np.zeros_like(a), where=denom > 0).mean())
+
+    @pytest.mark.parametrize("kind", ["random", "clustered", "all_ones", "near_duplicate",
+                                      "zero_row"])
+    def test_blocks_equal_the_full_matrix(self, kind):
+        rng = np.random.default_rng(6)
+        if kind == "random":
+            emb = rng.normal(size=(4096, 64)).astype(np.float32)
+        elif kind == "clustered":
+            emb = rng.normal(size=(4096, 64)) + 2.0 * np.eye(64)[dinucleotide_groups()]
+        elif kind == "all_ones":
+            emb = np.ones((4096, 64))
+        elif kind == "near_duplicate":
+            emb = rng.normal(size=64) + 1e-9 * rng.normal(size=(4096, 64))
+        else:
+            emb = rng.normal(size=(4096, 64))
+            emb[17] = 0.0
+        assert embedding_silhouette(emb) == self.full_matrix_silhouette(emb)
+
+    def test_peak_memory_is_one_block(self):
+        emb = np.random.default_rng(7).normal(size=(4096, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            embedding_silhouette(emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full 4096 x 4096 float64 distance matrix alone is 128 MB
+        assert peak < 64 * 2**20
 
     def test_sklearn_cross_check(self):
         skm = pytest.importorskip("sklearn.metrics")

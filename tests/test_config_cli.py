@@ -14,6 +14,7 @@ import typing
 import numpy as np
 import pytest
 
+from dnamlm import pipeline
 from dnamlm.cli import main
 from dnamlm.config import RunConfig, run_config_from_dict
 from dnamlm.errors import ConfigInvalid, KOutOfRange
@@ -267,13 +268,24 @@ class TestCliMaskStats:
         ["--step", "0"],
         ["--step", "-2"],
         ["--step", "4294967296"],
+        ["--out", "/no/such/dir/stats.json"],
     ])
     def test_bad_flag_is_usage_error(self, flags, capsys):
         rc = main(["mask-stats", "--total-steps", "100", "--seq-len", "32"] + flags)
         assert rc == 2
-        err = json.loads(capsys.readouterr().err)
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
         assert err["error"] == "ConfigInvalid"
-        assert flags[0] in err["message"]
+        assert flags[0] in err["message"] and flags[1] in err["message"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_runtime_error(self, capsys):
+        # opening --out works; the write itself fails, so this is not a usage error
+        rc = main(["mask-stats", "--total-steps", "100", "--seq-len", "32",
+                   "--samples", "10", "--out", "/dev/full"])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "OSError"
 
 
 SMALL_RUN = {
@@ -716,6 +728,25 @@ class TestCliPretrainAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigInvalid" and "cannot read checkpoint" in err["message"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("out,blocker", [
+        ("run", "run"),                  # --out is an existing file
+        ("run/sub", "run"),              # --out lies under a file
+        ("run", "run/checkpoint"),       # the checkpoint directory is a file
+    ])
+    def test_unusable_out_exits_before_training(self, out, blocker, small_config, tmp_path,
+                                                capsys, monkeypatch):
+        (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / blocker).write_text("x", encoding="utf-8")
+
+        def no_step(*args):
+            raise AssertionError("a training step ran with an unusable --out")
+
+        monkeypatch.setattr(pipeline, "train_step", no_step)
+        assert main(["pretrain", "--config", small_config, "--out", str(tmp_path / out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigInvalid" and str(tmp_path / out) in err["message"]
 
     @pytest.mark.parametrize("damage,words", [
         ("manifest_not_json", "not valid JSON"),
