@@ -216,6 +216,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     vocab = build_vocab(run.tokenizer.k)
     with _open_input(args.data) as fh:
         examples, num_classes = load_labeled(fh, lenient=run.corpus.lenient)
+    if not examples:
+        raise EmptyDataset(f"no labeled rows in {args.data!r}")
 
     if args.checkpoint:
         params = load_checkpoint(args.checkpoint).params
@@ -227,13 +229,18 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     else:
         params = init_model(model_config_from_run(run, vocab))
 
+    # Made before training, so an unusable --out fails before the first epoch.
+    out_dir = _out_dir(args, "finetune")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot create output directory {out_dir!r}: {exc}") from None
+
     ft = FinetuneConfig(seed=run.training.seed, **asdict(run.finetune))
     params, metrics = finetune_classify(
         params, examples, num_classes, vocab, ft, Strategy(run.tokenizer.strategy)
     )
 
-    out_dir = _out_dir(args, "finetune")
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "metrics.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss,mcc\n")

@@ -127,6 +127,77 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
+def _exact_widths(length: int) -> list[int]:
+    """Widths, ascending, to which a batch of width ``length`` can be cut,
+    keeping every real position, with the softmax's sums unchanged to the bit.
+
+    A cut drops only trailing padded keys, whose softmax weights are exact
+    zeros, from the softmax's ``attn.sum(-1)`` in ``_encode``.  numpy sums a
+    row pairwise: up to 128 elements go to 8 interleaved accumulators, and
+    the ``n % 8`` tail is added one by one after they are combined; a longer
+    row is split at ``n // 2 - (n // 2) % 8`` and both parts are summed that
+    way.  So trailing zeros leave the sum's bits alone when the cut falls on a
+    multiple of 8 within one 128-element block, or on a split point.  Any
+    other cut moves real elements between accumulators and can change the
+    last bits.  This is numpy's reduction layout, not a property of the
+    machine.
+    """
+    if length <= 128:
+        return list(range(8, length, 8)) + [length]
+    half = length // 2
+    return _exact_widths(half - half % 8) + [length]
+
+
+# (head layout, dtype, batch width) -> the widths of _cut_widths, found once per process.
+_CUT_WIDTHS: dict[tuple, list[int]] = {}
+
+
+def _cut_widths(params: ModelParams, length: int) -> list[int]:
+    """The ``_exact_widths(length)`` at which this process's numpy and BLAS
+    give a batch cut to that width the padded batch's bits.
+
+    BLAS picks a kernel for each product by its shape, and some kernels add
+    in another order than others: with OpenBLAS 0.3.31 on AVX-512, cutting a
+    batch changed the attention products' last bits for head widths 2, 4, 8,
+    24 and 32, though never for 16.  So each width is tried once per
+    process, head layout and batch width: the attention products and the
+    softmax sum are computed padded and cut, in ``_encode``'s shapes and
+    strides, on values spread over many binades so that any change of
+    summation order shows, and the width is kept only if every real entry
+    has the same bits.  The position-wise products (``_mm``) are not
+    checked: their rows kept their bits at every row count tried.
+    """
+    cfg = params.config
+    key = (cfg.hidden_dim, cfg.num_heads, cfg.dtype, length)
+    if key not in _CUT_WIDTHS:
+        rng = np.random.default_rng(length)
+
+        def draw(*shape):
+            spread = np.exp2(rng.integers(-12, 12, size=shape))
+            return (rng.standard_normal(shape) * spread).astype(cfg.dtype)
+
+        def heads(x):
+            return _split_heads(x, cfg.num_heads)
+
+        xq, xk, xv = (draw(1, length, cfg.hidden_dim) for _ in range(3))
+        scores = heads(xq) @ heads(xk).swapaxes(-1, -2)
+        weights = np.abs(draw(1, cfg.num_heads, length, length))
+        kept = []
+        for w in _exact_widths(length):
+            padded = weights.copy()
+            padded[..., w:] = 0.0
+            cut = np.ascontiguousarray(padded[..., :w, :w])
+            qc, kc, vc = (heads(np.ascontiguousarray(x[:, :w])) for x in (xq, xk, xv))
+            if (
+                scores[..., :w, :w].tobytes() == (qc @ kc.swapaxes(-1, -2)).tobytes()
+                and padded[..., :w, :].sum(-1).tobytes() == cut.sum(-1).tobytes()
+                and (padded @ heads(xv))[..., :w, :].tobytes() == (cut @ vc).tobytes()
+            ):
+                kept.append(w)
+        _CUT_WIDTHS[key] = kept
+    return _CUT_WIDTHS[key]
+
+
 def _as_batch(ids: np.ndarray, padding_mask: np.ndarray):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -139,14 +210,19 @@ def _as_batch(ids: np.ndarray, padding_mask: np.ndarray):
     return ids, real
 
 
+def _check_ids(cfg, ids: np.ndarray) -> None:
+    """Refuse a batch wider than ``max_len`` or with an id outside the vocabulary."""
+    if ids.shape[1] > cfg.max_len:
+        raise LengthExceeded(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+        raise ConfigInvalid("token id outside the vocabulary")
+
+
 def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
     """Run the encoder stack, returning final hidden states and a cache."""
     cfg = params.config
-    b, l = ids.shape
-    if l > cfg.max_len:
-        raise LengthExceeded(f"sequence length {l} exceeds max_len {cfg.max_len}")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-        raise ConfigInvalid("token id outside the vocabulary")
+    _check_ids(cfg, ids)
+    l = ids.shape[1]
 
     x = params["tok_emb"][ids]
     x += params["pos_emb"][:l]

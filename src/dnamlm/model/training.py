@@ -12,7 +12,7 @@ from ..corpus import LabeledExample
 from ..errors import ConfigInvalid, EmptyDataset, NonFiniteLoss
 from ..rng import STREAM_INIT, STREAM_SHUFFLE, split
 from ..tokenizer import Strategy, Vocabulary, prepare_frames
-from .network import Batch, _as_batch, _encode, backward
+from .network import Batch, _as_batch, _check_ids, _cut_widths, _encode, backward
 from .optimizer import OptimizerState, adamw_step, check_hyperparameters, init_optimizer
 from .params import ModelParams, truncated_normal
 
@@ -80,20 +80,41 @@ def _resize_classifier_head(params: ModelParams, num_classes: int, seed: int) ->
     params["cls_b"] = np.zeros(num_classes, dtype=np.dtype(cfg.dtype))
 
 
+def _class_logits(
+    params: ModelParams, ids: np.ndarray, real: np.ndarray, batch_size: int
+) -> np.ndarray:
+    """Classifier logits on the [CLS] vector, one row per input row, in input order.
+
+    Runs the encoder only: no MLM logits or stacked attention maps.  Each row
+    runs cut to the narrowest of ``_cut_widths`` that holds its last real
+    position, with the rows of one width encoded together, ``batch_size`` at
+    a time; so the logits are those of the padded batch, to the bit.  Every
+    input check runs on the whole batch before it is cut.
+    """
+    if batch_size < 1:
+        raise ConfigInvalid(f"batch_size must be >= 1, got {batch_size}")
+    ids, real = _as_batch(ids, real)
+    _check_ids(params.config, ids)
+    n, length = ids.shape
+    pooled = np.empty((n, params.config.hidden_dim), dtype=params["cls_w"].dtype)
+    if n:
+        widths = np.asarray(_cut_widths(params, length))
+        last = length - real[:, ::-1].argmax(axis=1)  # one past the row's last real position
+        row_width = widths[np.searchsorted(widths, last)]
+        for width in np.unique(row_width):
+            rows = np.flatnonzero(row_width == width)
+            for start in range(0, rows.size, batch_size):
+                sel = rows[start : start + batch_size]
+                hidden, _layers = _encode(params, ids[sel, :width], real[sel, :width])
+                pooled[sel] = hidden[:, 0, :]
+    return pooled @ params["cls_w"] + params["cls_b"]
+
+
 def predict_classes(
     params: ModelParams, ids: np.ndarray, real: np.ndarray, batch_size: int = 256
 ) -> np.ndarray:
-    """Argmax class predictions over the [CLS] vector, in input order.
-
-    Runs the encoder only: no MLM logits or stacked attention maps.
-    """
-    preds = []
-    for start in range(0, ids.shape[0], batch_size):
-        chunk = _as_batch(ids[start : start + batch_size], real[start : start + batch_size])
-        hidden, _layers = _encode(params, *chunk)
-        logits = hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]
-        preds.append(logits.argmax(-1))
-    return np.concatenate(preds)
+    """Argmax class predictions over the [CLS] vector, in input order."""
+    return _class_logits(params, ids, real, batch_size).argmax(-1)
 
 
 def finetune_classify(

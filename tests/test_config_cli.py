@@ -877,6 +877,23 @@ class TestCliFinetune:
         assert err["error"] == "ConfigInvalid"
         assert "dropout_rate" in err["message"]
 
+    @pytest.mark.parametrize("out", ["ft", "ft/sub"])  # a file, a path under a file
+    def test_unusable_out_exits_before_training(self, out, labeled_csv, tmp_path, capsys,
+                                                monkeypatch):
+        from dnamlm.model import training
+
+        (tmp_path / "ft").write_text("x", encoding="utf-8")
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran with an unusable --out")
+
+        monkeypatch.setattr(training, "train_step", no_step)
+        assert main(["finetune", "--data", labeled_csv, "--epochs", "1",
+                     "--out", str(tmp_path / out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigInvalid" and str(tmp_path / out) in err["message"]
+
     def test_finetune_header_only_csv_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("sequence,label\n", encoding="utf-8")

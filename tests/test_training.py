@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from dnamlm.corpus import DnaSequence, LabeledExample
-from dnamlm.errors import ConfigInvalid, EmptyDataset, NonFiniteLoss, SequenceTooShort
+from dnamlm.errors import (
+    ConfigInvalid,
+    EmptyDataset,
+    LengthExceeded,
+    NonFiniteLoss,
+    SequenceTooShort,
+)
 from dnamlm.masking import IGNORE_LABEL
 from dnamlm.model import (
     Batch,
@@ -18,7 +24,14 @@ from dnamlm.model import (
     save_checkpoint,
     train_step,
 )
-from dnamlm.model.training import FinetuneConfig, finetune_classify, predict_classes
+from dnamlm.model import training
+from dnamlm.model.network import _cut_widths, _encode, _exact_widths
+from dnamlm.model.training import (
+    FinetuneConfig,
+    _class_logits,
+    finetune_classify,
+    predict_classes,
+)
 from dnamlm.tokenizer import build_vocab
 
 
@@ -340,3 +353,117 @@ class TestPredictClasses:
             predict_classes(params, ids, np.ones((2, 5), dtype=bool))
         with pytest.raises(ConfigInvalid):
             predict_classes(params, np.full((2, 4), 99, dtype=np.int64), np.ones((2, 4), bool))
+
+    def test_input_checks_see_the_padded_tail(self):
+        """The checks run on the whole batch, not on the width it is cut to."""
+        params = init_model(tiny_config(max_len=16))
+        real = np.zeros((2, 16), dtype=bool)
+        real[:, :3] = True
+        ids = np.full((2, 16), 5, dtype=np.int64)
+        ids[1, 12] = 99  # outside the vocabulary, in a padded position
+        with pytest.raises(ConfigInvalid, match="vocabulary"):
+            predict_classes(params, ids, real)
+        wide = np.zeros((2, 20), dtype=bool)
+        wide[:, :3] = True
+        with pytest.raises(LengthExceeded):
+            predict_classes(params, np.full((2, 20), 5, dtype=np.int64), wide)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        params = init_model(tiny_config())
+        ids = np.full((2, 4), 5, dtype=np.int64)
+        with pytest.raises(ConfigInvalid, match="batch_size"):
+            predict_classes(params, ids, np.ones((2, 4), bool), batch_size=batch_size)
+
+    def test_zero_rows_give_an_empty_array(self):
+        params = init_model(tiny_config())
+        got = predict_classes(params, np.zeros((0, 8), np.int64), np.zeros((0, 8), bool))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+
+def _mixed_rows(length: int, vocab_size: int, seed: int):
+    """Rows of many real lengths, some shorter than 8, one with a hole in its mask."""
+    rng = np.random.default_rng(seed)
+    lengths = [length, 1, 5, 7, 8, 9, max(1, length - 1), length // 2 + 1]
+    lengths += rng.integers(1, length + 1, size=6).tolist()
+    ids = np.zeros((len(lengths), length), dtype=np.int64)
+    real = np.zeros((len(lengths), length), dtype=bool)
+    for row, n in enumerate(lengths):
+        ids[row, :n] = rng.integers(5, vocab_size, size=n)
+        real[row, :n] = True
+    real[0, 1:3] = False  # a non-prefix mask: real positions after a hole
+    real[6, length // 3] = False
+    return ids, real
+
+
+class TestLengthBuckets:
+    """``predict_classes`` cuts rows to exact widths; its values equal the padded pass."""
+
+    @pytest.mark.parametrize("hidden_dim", [32, 16])  # head widths 16 and 8
+    @pytest.mark.parametrize("length", [16, 45, 128, 512])
+    def test_logits_equal_the_padded_pass(self, length, hidden_dim, monkeypatch):
+        vocab = build_vocab(3)
+        cfg = ModelConfig(vocab_size=vocab.size, num_layers=2, num_heads=2,
+                          hidden_dim=hidden_dim, ff_dim=32, max_len=length, num_classes=3,
+                          dtype="float32", seed=length)
+        params = init_model(cfg)
+        ids, real = _mixed_rows(length, vocab.size, seed=length)
+        def padded_pass(ids, real):
+            hidden, _layers = _encode(params, ids, real)
+            return hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]
+
+        want = padded_pass(ids, real)
+        assert len(set(want.argmax(-1).tolist())) > 1  # distinct classes are compared
+        order = np.random.default_rng(1).permutation(ids.shape[0])
+        want_shuffled = padded_pass(ids[order], real[order])
+
+        widths = []
+
+        def spy(params, ids, real):
+            widths.append(ids.shape[1])
+            return _encode(params, ids, real)
+
+        monkeypatch.setattr(training, "_encode", spy)
+        for batch_size in (1, 3, 256):
+            got = _class_logits(params, ids, real, batch_size)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(predict_classes(params, ids, real, batch_size),
+                                  want.argmax(-1))
+            shuffled = _class_logits(params, ids[order], real[order], batch_size)
+            assert shuffled.tobytes() == want_shuffled.tobytes()
+            assert np.array_equal(shuffled.argmax(-1), want.argmax(-1)[order])
+        assert set(widths) <= set(_cut_widths(params, length))
+        assert min(widths) < length  # rows were cut, not run at the padded width
+
+    @pytest.mark.parametrize("length", [5, 45, 200])
+    def test_cut_widths_are_checked_exact_widths(self, length):
+        params = init_model(tiny_config(hidden_dim=16, max_len=length, dtype="float32"))
+        kept = _cut_widths(params, length)
+        assert set(kept) <= set(_exact_widths(length))
+        assert kept[-1] == length  # the padded width itself always qualifies
+        assert _cut_widths(params, length) is kept  # checked once per process
+
+    def test_exact_widths(self):
+        assert _exact_widths(5) == [5]
+        assert _exact_widths(16) == [8, 16]
+        assert _exact_widths(45) == [8, 16, 24, 32, 40, 45]
+        assert _exact_widths(512) == list(range(8, 129, 8)) + [256, 512]
+        assert _exact_widths(200) == list(range(8, 97, 8)) + [200]
+
+    @pytest.mark.parametrize("length", [16, 45, 128, 129, 200, 512])
+    def test_zero_padded_sum_is_unchanged_at_exact_widths(self, length):
+        """A zero-padded float32 row sums to the same bits at each exact width;
+        cut anywhere else, some sums change."""
+        rng = np.random.default_rng(length)
+        exact = _exact_widths(length)
+        moved = 0
+        for width in range(1, length + 1):
+            for _ in range(8):
+                row = np.zeros(length, dtype=np.float32)
+                row[:width] = rng.random(width, dtype=np.float32) + 0.5
+                same = row[:width].sum().tobytes() == row.sum().tobytes()
+                if width in exact:
+                    assert same, f"width {width} of {length}"
+                else:
+                    moved += not same
+        assert moved > 0
