@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .atomic import write_then_replace
 from .errors import (
     ConfigInvalid,
     InsufficientHistory,
@@ -295,12 +296,10 @@ class RunReport:
 
 
 def emit_report(report: RunReport, directory: str) -> tuple[str, str]:
-    """Write ``report.json`` and ``loss.csv``; returns the two paths."""
+    """Write ``report.json`` and ``loss.csv``, each whole or not at all; returns the two paths."""
     os.makedirs(directory, exist_ok=True)
     json_path = os.path.join(directory, REPORT_JSON)
     csv_path = os.path.join(directory, LOSS_CSV)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.loss_csv())
+    write_then_replace(json_path, [report.to_json().encode("utf-8")])
+    write_then_replace(csv_path, [report.loss_csv().encode("utf-8")])
     return json_path, csv_path

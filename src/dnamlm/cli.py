@@ -19,6 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from .atomic import write_then_replace
 from .config import RunConfig, run_config_from_dict
 from .corpus import load_labeled, parse_fasta
 from .errors import (
@@ -242,17 +243,11 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     )
 
     csv_path = os.path.join(out_dir, "metrics.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,mcc\n")
-        for m in metrics:
-            fh.write(f"{m['epoch']},{m['loss']!r},{m['mcc']!r}\n")
+    rows = [f"{m['epoch']},{m['loss']!r},{m['mcc']!r}\n" for m in metrics]
+    write_then_replace(csv_path, [("epoch,loss,mcc\n" + "".join(rows)).encode("utf-8")])
     json_path = os.path.join(out_dir, "metrics.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"config": run.to_dict(), "num_classes": num_classes, "metrics": metrics},
-            fh, indent=2,
-        )
-        fh.write("\n")
+    summary = {"config": run.to_dict(), "num_classes": num_classes, "metrics": metrics}
+    write_then_replace(json_path, [(json.dumps(summary, indent=2) + "\n").encode("utf-8")])
     print(json.dumps({"metrics_csv": csv_path, "metrics_json": json_path,
                       "final_mcc": metrics[-1]["mcc"]}, indent=2))
     return 0

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..atomic import write_then_replace
 from ..errors import ConfigInvalid
 from .config import ModelConfig, check_types, param_shapes, type_checks
 from .optimizer import OptimizerState
@@ -43,16 +44,6 @@ def _layout(config: ModelConfig, moments: bool) -> list[tuple[str, str, tuple[in
     shapes = param_shapes(config).items()
     return [("param", name, shape) for name, shape in shapes] + [
         (group, name, shape) for name, shape in shapes for group in ("m", "v") if moments]
-
-
-def _write_then_replace(path: str, chunks) -> int:
-    """Write ``chunks`` to ``path`` + ".tmp", move it over ``path``; return its size."""
-    with open(path + ".tmp", "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-        size = fh.tell()
-    os.replace(path + ".tmp", path)
-    return size
 
 
 def save_checkpoint(
@@ -82,7 +73,7 @@ def save_checkpoint(
             digest.update(data)
             yield data
 
-    blob_bytes = _write_then_replace(os.path.join(directory, BLOB_NAME), chunks())
+    blob_bytes = write_then_replace(os.path.join(directory, BLOB_NAME), chunks())
     manifest = {
         "schema": SCHEMA_VERSION,
         "step": int(step),
@@ -93,7 +84,7 @@ def save_checkpoint(
         "blob_sha256": digest.hexdigest(),
     }
     text = json.dumps(manifest, indent=2) + "\n"  # ASCII: json escapes the rest
-    _write_then_replace(os.path.join(directory, MANIFEST_NAME), [text.encode()])
+    write_then_replace(os.path.join(directory, MANIFEST_NAME), [text.encode()])
     return directory
 
 

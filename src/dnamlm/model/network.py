@@ -148,13 +148,19 @@ def _exact_widths(length: int) -> list[int]:
     return _exact_widths(half - half % 8) + [length]
 
 
-# (head layout, dtype, batch width) -> the widths of _cut_widths, found once per process.
-_CUT_WIDTHS: dict[tuple, list[int]] = {}
+# Query rows of the last layer when only the [CLS] vector is read.  One
+# row would take BLAS's matrix-vector path, which adds in another order.
+_CLS_QUERIES = 8
+
+# (head layout, dtype, batch width) -> the widths of _cut_widths, each with its
+# last layer's query rows, found once per process.
+_CUT_WIDTHS: dict[tuple, dict[int, int]] = {}
 
 
-def _cut_widths(params: ModelParams, length: int) -> list[int]:
-    """The ``_exact_widths(length)`` at which this process's numpy and BLAS
-    give a batch cut to that width the padded batch's bits.
+def _cut_widths(params: ModelParams, length: int) -> dict[int, int]:
+    """The ``_exact_widths(length)``, ascending, at which this process's numpy and BLAS
+    give a batch cut to that width the padded batch's bits, each mapped to
+    the query rows its last layer may compute with [CLS]'s bits unchanged.
 
     BLAS picks a kernel for each product by its shape, and some kernels add
     in another order than others: with OpenBLAS 0.3.31 on AVX-512, cutting a
@@ -164,37 +170,53 @@ def _cut_widths(params: ModelParams, length: int) -> list[int]:
     softmax sum are computed padded and cut, in ``_encode``'s shapes and
     strides, on values spread over many binades so that any change of
     summation order shows, and the width is kept only if every real entry
-    has the same bits.  The position-wise products (``_mm``) are not
-    checked: their rows kept their bits at every row count tried.
+    has the same bits.  A kept width runs its last layer on the first
+    ``_CLS_QUERIES`` positions if the attention products of that query block
+    and a position-wise product (``_mm``) on that many rows also keep their
+    bits, and on every position otherwise.  The other position-wise products
+    are not checked: their rows kept their bits at every row count tried.
     """
     cfg = params.config
     key = (cfg.hidden_dim, cfg.num_heads, cfg.dtype, length)
     if key not in _CUT_WIDTHS:
         rng = np.random.default_rng(length)
+        binades = np.exp2(np.arange(-12, 12)).astype(cfg.dtype)
 
         def draw(*shape):
-            spread = np.exp2(rng.integers(-12, 12, size=shape))
-            return (rng.standard_normal(shape) * spread).astype(cfg.dtype)
+            x = rng.random(shape, dtype=cfg.dtype)
+            x -= 0.5
+            x *= binades[rng.integers(0, binades.size, size=shape, dtype=np.uint8)]
+            return x
 
         def heads(x):
-            return _split_heads(x, cfg.num_heads)
+            return _split_heads(np.ascontiguousarray(x), cfg.num_heads)
 
         xq, xk, xv = (draw(1, length, cfg.hidden_dim) for _ in range(3))
         scores = heads(xq) @ heads(xk).swapaxes(-1, -2)
         weights = np.abs(draw(1, cfg.num_heads, length, length))
-        kept = []
-        for w in _exact_widths(length):
-            padded = weights.copy()
-            padded[..., w:] = 0.0
-            cut = np.ascontiguousarray(padded[..., :w, :w])
-            qc, kc, vc = (heads(np.ascontiguousarray(x[:, :w])) for x in (xq, xk, xv))
+        q = min(_CLS_QUERIES, length)
+        w_pos = draw(cfg.hidden_dim, cfg.hidden_dim)
+        block_mm = _mm(xq[:, :q], w_pos).tobytes() == _mm(xq, w_pos)[:, :q].tobytes()
+        rows = {}
+        for w in reversed(_exact_widths(length)):
+            weights[..., w:] = 0.0  # widest first, so each width zeroes a longer tail
+            context = weights @ heads(xv)
+            cut = np.ascontiguousarray(weights[..., :w, :w])
+            qc, kc, vc = (heads(x[:, :w]) for x in (xq, xk, xv))
             if (
                 scores[..., :w, :w].tobytes() == (qc @ kc.swapaxes(-1, -2)).tobytes()
-                and padded[..., :w, :].sum(-1).tobytes() == cut.sum(-1).tobytes()
-                and (padded @ heads(xv))[..., :w, :].tobytes() == (cut @ vc).tobytes()
+                and weights[..., :w, :].sum(-1).tobytes() == cut.sum(-1).tobytes()
+                and context[..., :w, :].tobytes() == (cut @ vc).tobytes()
             ):
-                kept.append(w)
-        _CUT_WIDTHS[key] = kept
+                block = (
+                    block_mm
+                    and scores[..., :q, :w].tobytes()
+                    == (heads(xq[:, :q]) @ kc.swapaxes(-1, -2)).tobytes()
+                    and context[..., :q, :].tobytes()
+                    == (np.ascontiguousarray(cut[..., :q, :]) @ vc).tobytes()
+                )
+                rows[w] = min(q, w) if block else w
+        _CUT_WIDTHS[key] = dict(sorted(rows.items()))
     return _CUT_WIDTHS[key]
 
 
@@ -218,8 +240,14 @@ def _check_ids(cfg, ids: np.ndarray) -> None:
         raise ConfigInvalid("token id outside the vocabulary")
 
 
-def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
-    """Run the encoder stack, returning final hidden states and a cache."""
+def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray,
+            _last_queries: int | None = None):
+    """Run the encoder stack, returning final hidden states and a cache.
+
+    With ``_last_queries`` the last layer computes only that many leading
+    positions, attending over every key; the hidden states then have that
+    length.
+    """
     cfg = params.config
     _check_ids(cfg, ids)
     l = ids.shape[1]
@@ -234,7 +262,9 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
     for i in range(cfg.num_layers):
         p = f"layer{i}."
         xin = x
-        qh = _split_heads(_mm(xin, params[p + "wq"]), cfg.num_heads)
+        if i == cfg.num_layers - 1 and _last_queries is not None:
+            x = xin[:, :_last_queries]
+        qh = _split_heads(_mm(x, params[p + "wq"]), cfg.num_heads)
         kh = _split_heads(_mm(xin, params[p + "wk"]), cfg.num_heads)
         vh = _split_heads(_mm(xin, params[p + "wv"]), cfg.num_heads)
         attn = qh @ kh.swapaxes(-1, -2)
@@ -246,7 +276,7 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray):
         attn /= attn.sum(-1, keepdims=True)
         ctx = _merge_heads(attn @ vh)
         r1 = _mm(ctx, params[p + "wo"])
-        r1 += xin
+        r1 += x
         x1, ln1_cache = _layer_norm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
         z1 = _mm(x1, params[p + "w1"])
         z1 += params[p + "b1"]

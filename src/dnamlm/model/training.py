@@ -88,8 +88,9 @@ def _class_logits(
     Runs the encoder only: no MLM logits or stacked attention maps.  Each row
     runs cut to the narrowest of ``_cut_widths`` that holds its last real
     position, with the rows of one width encoded together, ``batch_size`` at
-    a time; so the logits are those of the padded batch, to the bit.  Every
-    input check runs on the whole batch before it is cut.
+    a time, and the last layer computing the query rows ``_cut_widths``
+    allows at that width; so the logits are those of the padded batch, to
+    the bit.  Every input check runs on the whole batch before it is cut.
     """
     if batch_size < 1:
         raise ConfigInvalid(f"batch_size must be >= 1, got {batch_size}")
@@ -98,14 +99,16 @@ def _class_logits(
     n, length = ids.shape
     pooled = np.empty((n, params.config.hidden_dim), dtype=params["cls_w"].dtype)
     if n:
-        widths = np.asarray(_cut_widths(params, length))
+        queries = _cut_widths(params, length)
+        widths = np.asarray(list(queries))
         last = length - real[:, ::-1].argmax(axis=1)  # one past the row's last real position
         row_width = widths[np.searchsorted(widths, last)]
-        for width in np.unique(row_width):
+        for width in np.unique(row_width).tolist():
             rows = np.flatnonzero(row_width == width)
             for start in range(0, rows.size, batch_size):
                 sel = rows[start : start + batch_size]
-                hidden, _layers = _encode(params, ids[sel, :width], real[sel, :width])
+                hidden, _layers = _encode(params, ids[sel, :width], real[sel, :width],
+                                          queries[width])
                 pooled[sel] = hidden[:, 0, :]
     return pooled @ params["cls_w"] + params["cls_b"]
 

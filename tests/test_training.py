@@ -399,29 +399,38 @@ def _mixed_rows(length: int, vocab_size: int, seed: int):
 class TestLengthBuckets:
     """``predict_classes`` cuts rows to exact widths; its values equal the padded pass."""
 
-    @pytest.mark.parametrize("hidden_dim", [32, 16])  # head widths 16 and 8
-    @pytest.mark.parametrize("length", [16, 45, 128, 512])
-    def test_logits_equal_the_padded_pass(self, length, hidden_dim, monkeypatch):
+    @classmethod
+    def _bucketed_model(cls, length, hidden_dim, num_layers=2):
+        """A model and mixed rows; the head's bias centres each class's logits
+        over the rows, so that the rows fall in more than one class."""
         vocab = build_vocab(3)
-        cfg = ModelConfig(vocab_size=vocab.size, num_layers=2, num_heads=2,
+        cfg = ModelConfig(vocab_size=vocab.size, num_layers=num_layers, num_heads=2,
                           hidden_dim=hidden_dim, ff_dim=32, max_len=length, num_classes=3,
                           dtype="float32", seed=length)
         params = init_model(cfg)
         ids, real = _mixed_rows(length, vocab.size, seed=length)
-        def padded_pass(ids, real):
-            hidden, _layers = _encode(params, ids, real)
-            return hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]
+        params["cls_b"] = -cls._padded_pass(params, ids, real).mean(0)
+        return params, ids, real
 
-        want = padded_pass(ids, real)
+    @staticmethod
+    def _padded_pass(params, ids, real):
+        hidden, _layers = _encode(params, ids, real)
+        return hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]
+
+    def _assert_equal_to_padded_pass(self, params, ids, real, monkeypatch):
+        """Every batch size and a shuffled order give the padded pass's bits;
+        returns (width, last-layer query rows) of each encoder call."""
+        want = self._padded_pass(params, ids, real)
         assert len(set(want.argmax(-1).tolist())) > 1  # distinct classes are compared
         order = np.random.default_rng(1).permutation(ids.shape[0])
-        want_shuffled = padded_pass(ids[order], real[order])
+        want_shuffled = self._padded_pass(params, ids[order], real[order])
 
-        widths = []
+        runs = []
 
-        def spy(params, ids, real):
-            widths.append(ids.shape[1])
-            return _encode(params, ids, real)
+        def spy(params, ids, real, *queries):
+            hidden, layers = _encode(params, ids, real, *queries)
+            runs.append((ids.shape[1], hidden.shape[1]))
+            return hidden, layers
 
         monkeypatch.setattr(training, "_encode", spy)
         for batch_size in (1, 3, 256):
@@ -432,15 +441,58 @@ class TestLengthBuckets:
             shuffled = _class_logits(params, ids[order], real[order], batch_size)
             assert shuffled.tobytes() == want_shuffled.tobytes()
             assert np.array_equal(shuffled.argmax(-1), want.argmax(-1)[order])
+        return runs
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("hidden_dim", [32, 16, 48, 64])  # head widths 16, 8, 24 and 32
+    @pytest.mark.parametrize("length", [16, 45, 128, 512])
+    def test_logits_equal_the_padded_pass(self, length, hidden_dim, num_layers, monkeypatch):
+        params, ids, real = self._bucketed_model(length, hidden_dim, num_layers)
+        runs = self._assert_equal_to_padded_pass(params, ids, real, monkeypatch)
+        widths = [width for width, _rows in runs]
         assert set(widths) <= set(_cut_widths(params, length))
-        assert min(widths) < length  # rows were cut, not run at the padded width
+        if hidden_dim in (32, 16):
+            assert min(widths) < length  # rows were cut, not run at the padded width
+
+    @pytest.mark.parametrize("hidden_dim", [32, 48, 64])
+    @pytest.mark.parametrize("length", [16, 45, 128, 512])
+    def test_last_layer_runs_the_allowed_query_rows(self, length, hidden_dim, monkeypatch):
+        """The last layer computes min(8, width) query rows where the check
+        found that block exact, and every position where it did not."""
+        params, ids, real = self._bucketed_model(length, hidden_dim)
+        kept = _cut_widths(params, length)
+        for width, rows in kept.items():
+            assert rows in (min(8, width), width)
+        runs = self._assert_equal_to_padded_pass(params, ids, real, monkeypatch)
+        for width, rows in runs:
+            assert rows == kept[width]
+        if (length, hidden_dim) == (128, 32):  # the classify benchmark's head width and length
+            assert any(rows == 8 < width for width, rows in kept.items())
+            assert any(rows == 8 < width for width, rows in runs)  # the block ran
+
+    @pytest.mark.parametrize("length", [45, 512])
+    def test_refused_query_block_runs_every_position(self, length, monkeypatch):
+        params, ids, real = self._bucketed_model(length, 32)
+        refused = {width: width for width in _cut_widths(params, length)}
+        monkeypatch.setattr(training, "_cut_widths", lambda params, length: refused)
+        runs = self._assert_equal_to_padded_pass(params, ids, real, monkeypatch)
+        assert all(rows == width for width, rows in runs)
+        assert any(rows > 8 for _width, rows in runs)
+
+    def test_query_block_is_the_first_rows_of_the_full_layer(self):
+        """In value; its bits are checked where ``_cut_widths`` allows the block."""
+        params, ids, real = self._bucketed_model(45, 32)
+        full, _layers = _encode(params, ids, real)
+        block, _layers = _encode(params, ids, real, 8)
+        assert block.shape == (ids.shape[0], 8, 32)
+        np.testing.assert_allclose(block, full[:, :8], rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("length", [5, 45, 200])
     def test_cut_widths_are_checked_exact_widths(self, length):
         params = init_model(tiny_config(hidden_dim=16, max_len=length, dtype="float32"))
         kept = _cut_widths(params, length)
         assert set(kept) <= set(_exact_widths(length))
-        assert kept[-1] == length  # the padded width itself always qualifies
+        assert list(kept)[-1] == length  # the padded width itself always qualifies
         assert _cut_widths(params, length) is kept  # checked once per process
 
     def test_exact_widths(self):
