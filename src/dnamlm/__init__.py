@@ -43,6 +43,7 @@ from .model import (
     ForwardTrace,
     ModelConfig,
     ModelParams,
+    attention_maps,
     backward,
     finetune_classify,
     forward,

@@ -112,25 +112,28 @@ def _masked_query_rows(attentions: np.ndarray, padding_mask: np.ndarray,
     return rows, real[b_idx]
 
 
-def attention_cls_mass(trace, masked: np.ndarray) -> np.ndarray:
+def attention_cls_mass(attentions: np.ndarray, padding_mask: np.ndarray,
+                       masked: np.ndarray) -> np.ndarray:
     """Per-layer mean attention that masked tokens assign to position 0.
 
-    Averages over heads and masked query positions; the result lies in
-    [0, 1] per layer.
+    ``attentions`` is shaped (layers, batch, heads, len, len), as
+    ``attention_maps`` returns it.  Averages over heads and masked query
+    positions; the result lies in [0, 1] per layer.
     """
-    rows, _ = _masked_query_rows(trace.attentions, trace.padding_mask, masked)
+    rows, _ = _masked_query_rows(attentions, padding_mask, masked)
     out = rows[..., 0].mean(axis=(1, 2))
     if (out < -1e-9).any() or (out > 1 + 1e-9).any():
         raise ConfigInvalid("attention mass outside [0, 1]; attention rows are invalid")
     return np.clip(out, 0.0, 1.0)
 
 
-def attention_entropy(trace, masked: np.ndarray) -> np.ndarray:
+def attention_entropy(attentions: np.ndarray, padding_mask: np.ndarray,
+                      masked: np.ndarray) -> np.ndarray:
     """Per-layer mean Shannon entropy (nats) of masked tokens' attention rows.
 
     Computed over unpadded keys; every row obeys 0 <= H <= ln(#real keys).
     """
-    rows, key_real = _masked_query_rows(trace.attentions, trace.padding_mask, masked)
+    rows, key_real = _masked_query_rows(attentions, padding_mask, masked)
     probs = np.where(key_real[None, None, :, :], rows, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(probs > 0, probs * np.log(probs), 0.0)

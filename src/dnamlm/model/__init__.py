@@ -2,7 +2,7 @@
 
 from .config import ModelConfig, param_shapes
 from .params import ModelParams, init_model
-from .network import Batch, ForwardTrace, backward, forward
+from .network import Batch, ForwardTrace, attention_maps, backward, forward
 from .optimizer import OptimizerState, adamw_step, init_optimizer
 from .training import FinetuneConfig, finetune_classify, train_step
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -18,6 +18,7 @@ __all__ = [
     "param_shapes",
     "init_model",
     "forward",
+    "attention_maps",
     "backward",
     "init_optimizer",
     "adamw_step",

@@ -381,6 +381,15 @@ def forward(
     )
 
 
+def attention_maps(
+    params: ModelParams, ids: np.ndarray, padding_mask: np.ndarray
+) -> np.ndarray:
+    """``forward(...).attentions`` without the MLM logits: the encoder only."""
+    ids, real = _as_batch(ids, padding_mask)
+    _hidden, layers = _encode(params, ids, real)
+    return np.stack([c["attn"] for c in layers])
+
+
 def _mlm_head_backward(params: ModelParams, hidden: np.ndarray, labels: np.ndarray,
                        grads: dict[str, np.ndarray]):
     """Sparse MLM head: logits only at labeled positions.

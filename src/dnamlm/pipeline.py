@@ -14,6 +14,7 @@ sees only the schedule.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -44,7 +45,7 @@ from .model import (
     Batch,
     ModelConfig,
     ModelParams,
-    forward,
+    attention_maps,
     init_model,
     init_optimizer,
     load_checkpoint,
@@ -66,6 +67,31 @@ CHECKPOINT_DIRNAME = "checkpoint"
 
 #: Sequences in the attention probe batch.
 PROBE_SEQUENCES = 16
+
+# glibc's mallopt parameters (malloc.h) and the values that turn each off.
+_M_TRIM_THRESHOLD, _NEVER_TRIM = -1, -1
+_M_MMAP_MAX, _NO_MMAP = -4, 0
+
+
+def _keep_freed_heap() -> None:
+    """Ask glibc to keep freed memory in the process, for the rest of its life.
+
+    Each training step frees tens of MB of temporaries.  By default glibc
+    serves large blocks by ``mmap`` and unmaps them on free, and trims the
+    heap top back to the kernel; the next step then faults every page in
+    again, which took up to a fifth of the pretrain benchmark's CPU time.
+    With trimming and ``mmap`` off, freed blocks are reused in place.  This
+    moves where arrays live, never what they hold.  Where the C library has
+    no ``mallopt`` (not glibc), it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _NEVER_TRIM)
+    mallopt(_M_MMAP_MAX, _NO_MMAP)
 
 
 def schedule_from_config(run: RunConfig) -> MaskSchedule:
@@ -179,10 +205,11 @@ def attention_probe(
     """Attention diagnostics on a deterministic probe batch at ``step``.
 
     Masks are drawn from the probe stream (not the training stream), the
-    trace comes from a full forward pass, and metrics average over masked
-    query positions per the under-training analysis.  A probe batch with
-    no masked position (``p`` of 0, or a tiny ``p``) has no queries to
-    average over: its ``cls_mass`` and ``entropy`` are None.
+    attention maps come from the encoder alone (``attention_maps``, no MLM
+    logits), and metrics average over masked query positions per the
+    under-training analysis.  A probe batch with no masked position (``p``
+    of 0, or a tiny ``p``) has no queries to average over: its ``cls_mass``
+    and ``entropy`` are None.
     """
     frames_ids, frames_real = frames
     seed = run.training.seed
@@ -195,9 +222,10 @@ def attention_probe(
     masked = labels != IGNORE_LABEL
     cls_mass = entropy = None
     if masked.any():
-        trace = forward(params, ids, frames_real[chosen])
-        cls_mass = [float(v) for v in attention_cls_mass(trace, masked)]
-        entropy = [float(v) for v in attention_entropy(trace, masked)]
+        real = frames_real[chosen]
+        maps = attention_maps(params, ids, real)
+        cls_mass = [float(v) for v in attention_cls_mass(maps, real, masked)]
+        entropy = [float(v) for v in attention_entropy(maps, real, masked)]
     return {
         "cls_mass": cls_mass,
         "entropy": entropy,
@@ -251,8 +279,10 @@ def pretrain_run(
     so a stopped run can be resumed later.  With ``resume_from``, training
     continues from the checkpoint's step using its optimizer state; the
     regenerated batches match an uninterrupted run exactly, so the loss
-    curve is bit-identical.
+    curve is bit-identical.  On glibc the process keeps its freed heap from
+    here on (``_keep_freed_heap``).
     """
+    _keep_freed_heap()
     vocab = build_vocab(run.tokenizer.k)
     strategy = Strategy(run.tokenizer.strategy)
     schedule = schedule_from_config(run)

@@ -380,7 +380,7 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
     on) from a probe stream; the two models then see the same corrupted
     batches, so metric differences reflect the learned weights only.
     """
-    from dnamlm.model import forward
+    from dnamlm.model import attention_maps
     from dnamlm.pipeline import build_windows, prepare_frames
     from dnamlm.rng import STREAM_PROBE
     from dnamlm.tokenizer import Strategy
@@ -410,10 +410,10 @@ def _shared_probe_metrics(desk_runs, num_sequences=64):
 
     out = {}
     for mode in ("randommask", "baseline"):
-        trace = forward(desk_runs[mode].params, ids, real)
+        maps = attention_maps(desk_runs[mode].params, ids, real)
         out[mode] = {
-            "cls_mass": attention_cls_mass(trace, masked),
-            "entropy": attention_entropy(trace, masked),
+            "cls_mass": attention_cls_mass(maps, real, masked),
+            "entropy": attention_entropy(maps, real, masked),
         }
     return out
 

@@ -28,7 +28,6 @@ from dnamlm.errors import (
     NoMaskedPositions,
 )
 from dnamlm.masking import MaskSchedule
-from dnamlm.model import ForwardTrace
 
 
 def confusion(labels, preds):
@@ -119,16 +118,6 @@ class TestMulticlassMcc:
             )
 
 
-def make_trace(attn: np.ndarray, real: np.ndarray) -> ForwardTrace:
-    layers, b, h, l, _ = attn.shape
-    return ForwardTrace(
-        logits=np.zeros((b, l, 9)),
-        attentions=attn,
-        hidden=np.zeros((b, l, 4)),
-        padding_mask=real,
-    )
-
-
 class TestAttentionMetrics:
     def test_uniform_attention_mass_is_one_over_n(self):
         b, h, l = 2, 3, 10
@@ -136,9 +125,9 @@ class TestAttentionMetrics:
         real = np.ones((b, l), bool)
         masked = np.zeros((b, l), bool)
         masked[:, 4] = True
-        out = attention_cls_mass(make_trace(attn, real), masked)
+        out = attention_cls_mass(attn, real, masked)
         assert np.allclose(out, 1.0 / l, atol=1e-12)
-        ent = attention_entropy(make_trace(attn, real), masked)
+        ent = attention_entropy(attn, real, masked)
         assert np.allclose(ent, math.log(l), atol=1e-9)
 
     def test_one_hot_on_cls(self):
@@ -148,14 +137,14 @@ class TestAttentionMetrics:
         real = np.ones((b, l), bool)
         masked = np.zeros((b, l), bool)
         masked[0, 3] = True
-        assert np.allclose(attention_cls_mass(make_trace(attn, real), masked), 1.0)
-        assert np.allclose(attention_entropy(make_trace(attn, real), masked), 0.0, atol=1e-12)
+        assert np.allclose(attention_cls_mass(attn, real, masked), 1.0)
+        assert np.allclose(attention_entropy(attn, real, masked), 0.0, atol=1e-12)
 
     def test_no_masked_positions(self):
         attn = np.full((1, 1, 1, 4, 4), 0.25)
         real = np.ones((1, 4), bool)
         with pytest.raises(NoMaskedPositions):
-            attention_cls_mass(make_trace(attn, real), np.zeros((1, 4), bool))
+            attention_cls_mass(attn, real, np.zeros((1, 4), bool))
 
     def test_entropy_bound_per_row(self):
         rng = np.random.default_rng(3)
@@ -167,7 +156,7 @@ class TestAttentionMetrics:
         attn = raw / raw.sum(-1, keepdims=True)
         masked = np.zeros((b, l), bool)
         masked[:, 2] = True
-        ent = attention_entropy(make_trace(attn, real), masked)
+        ent = attention_entropy(attn, real, masked)
         assert (ent <= math.log(l) + 1e-9).all()
         assert (ent >= 0.0).all()
 
@@ -176,7 +165,7 @@ class TestAttentionMetrics:
         attn = np.full((1, 1, 1, 5, 5), 0.2)
         real = np.ones((1, 5), bool)
         with pytest.raises(ConfigInvalid, match="masked shape"):
-            attention_cls_mass(make_trace(attn, real), np.ones(shape, bool))
+            attention_cls_mass(attn, real, np.ones(shape, bool))
 
     def test_averages_only_over_masked_real_queries(self):
         b, h, l = 1, 1, 5
@@ -185,7 +174,7 @@ class TestAttentionMetrics:
         real = np.ones((b, l), bool)
         masked = np.zeros((b, l), bool)
         masked[0, 2] = True
-        assert attention_cls_mass(make_trace(attn, real), masked)[0] == pytest.approx(1.0)
+        assert attention_cls_mass(attn, real, masked)[0] == pytest.approx(1.0)
 
 
 class TestEmbeddingSilhouette:

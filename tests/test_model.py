@@ -10,6 +10,7 @@ from dnamlm.masking import IGNORE_LABEL
 from dnamlm.model import (
     Batch,
     ModelConfig,
+    attention_maps,
     backward,
     forward,
     init_model,
@@ -112,6 +113,17 @@ class TestForward:
         trace = forward(params, batch.ids, batch.padding_mask)
         pad_cols = ~batch.padding_mask[0]
         assert (trace.attentions[:, 0, :, :, pad_cols] == 0.0).all()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_attention_maps_are_the_forward_attentions(self, dtype):
+        cfg = tiny_config(num_layers=2, dtype=dtype)
+        params = init_model(cfg)
+        batch = random_mlm_batch(cfg, 3)
+        maps = attention_maps(params, batch.ids, batch.padding_mask)
+        trace = forward(params, batch.ids, batch.padding_mask)
+        assert maps.dtype == trace.attentions.dtype
+        assert maps.shape == trace.attentions.shape
+        assert maps.tobytes() == trace.attentions.tobytes()
 
     def test_length_exceeded(self):
         cfg = tiny_config(max_len=8)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from dnamlm.model import training
 from dnamlm.model.network import _cut_widths, _encode, _exact_widths
 from dnamlm.model.training import (
     FinetuneConfig,
+    _class_head,
     _class_logits,
     finetune_classify,
     predict_classes,
@@ -415,7 +418,7 @@ class TestLengthBuckets:
     @staticmethod
     def _padded_pass(params, ids, real):
         hidden, _layers = _encode(params, ids, real)
-        return hidden[:, 0, :] @ params["cls_w"] + params["cls_b"]
+        return _class_head(params, hidden[:, 0, :])
 
     def _assert_equal_to_padded_pass(self, params, ids, real, monkeypatch):
         """Every batch size and a shuffled order give the padded pass's bits;
@@ -519,3 +522,52 @@ class TestLengthBuckets:
                 else:
                     moved += not same
         assert moved > 0
+
+
+# Every row's classifier logits, for three head layouts (hidden width, heads,
+# classes): computed alone, then compared byte for byte in the whole batch
+# at three encoder batch sizes, shuffled, and in every prefix of 1 to 256
+# rows.  Exits 1 at the first difference; prints a digest of the logits.
+_HEAD_INVARIANCE = """
+import hashlib, sys
+import numpy as np
+from dnamlm.model import ModelConfig, init_model
+from dnamlm.model.training import _class_logits
+digest = hashlib.sha256()
+for hidden, heads, classes in ((16, 2, 2), (64, 4, 3), (128, 4, 7)):
+    cfg = ModelConfig(vocab_size=40, num_layers=1, num_heads=heads, hidden_dim=hidden,
+                      ff_dim=32, max_len=16, num_classes=classes, dtype="float32",
+                      seed=hidden)
+    params = init_model(cfg)
+    rng = np.random.default_rng(hidden)
+    ids = rng.integers(5, cfg.vocab_size, size=(256, 16))
+    real = np.arange(16) < rng.integers(1, 17, size=(256, 1))
+    alone = np.concatenate([_class_logits(params, ids[i:i + 1], real[i:i + 1], 1)
+                            for i in range(256)])
+    runs = {f"batch_size {b}": (_class_logits(params, ids, real, b), alone)
+            for b in (1, 7, 256)}
+    order = rng.permutation(256)
+    runs["shuffled"] = (_class_logits(params, ids[order], real[order], 256), alone[order])
+    for n in range(1, 257):
+        runs[f"{n} rows"] = (_class_logits(params, ids[:n], real[:n], 256), alone[:n])
+    for name, (got, want) in runs.items():
+        if got.tobytes() != want.tobytes():
+            sys.exit(f"hidden {hidden}, {classes} classes: {name} differs from rows alone")
+    digest.update(alone.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_class_logits_of_a_row_do_not_depend_on_its_batch():
+    """A row's logits are its own: alone, batched, shuffled, at 1 and 2 BLAS threads."""
+    digests = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HEAD_INVARIANCE],
+            capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                     PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
