@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from ..errors import ConfigInvalid, LengthExceeded
 from ..masking import IGNORE_LABEL
@@ -22,6 +21,89 @@ LN_EPS = 1e-12
 # Plain Python floats: numpy scalar constants would promote float32 activations.
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+# Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
+# 1 - exp(-x^2) P(|x|) / Q(|x|) above; U and Q have a leading 1 not listed.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+# Elements per float64 pass of _erf: its 128 KB temporaries stay in cache.
+_ERF_CHUNK = 16384
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf of float64 ``x`` with every |x| > 1 or NaN, as Cephes computes it.
+
+    |x| is clipped at 8, where erf is 1.0 in float64 either way; a NaN gives
+    the canonical NaN, as Cephes returns.
+    """
+    a = np.minimum(np.abs(x), 8.0)
+    p = a * _ERF_P[0]
+    p += _ERF_P[1]
+    q = a + _ERF_Q[0]
+    for pc, qc in zip(_ERF_P[2:], _ERF_Q[1:]):
+        p *= a
+        p += pc
+        q *= a
+        q += qc
+    e = a * a
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e *= p
+    e /= q
+    np.subtract(1.0, e, out=e)
+    np.copysign(e, x, out=e)
+    e[np.isnan(x)] = np.nan
+    return e
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write erf(x) into ``out``, which may be ``x`` itself, and return it.
+
+    Each value is Cephes's double-precision erf (the one scipy ships),
+    evaluated in float64 in the same operation order and rounded once to
+    ``out``'s dtype; for float32 that is scipy's result to the bit.  Work
+    goes in ``_ERF_CHUNK``-element passes, and only the indices with
+    ``x * x > 1`` (exact in float64 for a float32 x) take the exp branch.
+    A float64 |x| above about 1e154 squares to inf, which numpy reports as
+    an overflow; its value is still right.
+    """
+    if not out.flags.c_contiguous:
+        out[...] = _erf(x, np.empty(out.shape, out.dtype))
+        return out
+    src, dst = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, src.size, _ERF_CHUNK):
+        xd = src[lo:lo + _ERF_CHUNK].astype(np.float64)  # a copy, so out may be x
+        z = xd * xd
+        tail = None
+        if not z.max() <= 1.0:  # also true for a NaN
+            big = np.flatnonzero(~(z <= 1.0))
+            tail = _erf_tail(xd[big])
+            xd[big] = z[big] = 0.0  # keep the main pass finite; overwritten below
+        t = z * _ERF_T[0]
+        t += _ERF_T[1]
+        u = z + _ERF_U[0]
+        u *= z
+        u += _ERF_U[1]
+        for tc, uc in zip(_ERF_T[2:], _ERF_U[2:]):
+            t *= z
+            t += tc
+            u *= z
+            u += uc
+        t *= xd
+        d = dst[lo:lo + _ERF_CHUNK]
+        np.divide(t, u, out=d)
+        if tail is not None:
+            d[big] = tail
+    return out
 
 
 @dataclass
@@ -281,7 +363,7 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray,
         z1 = _mm(x1, params[p + "w1"])
         z1 += params[p + "b1"]
         e1 = z1 * _SQRT1_2
-        erf(e1, out=e1)  # cached so backward skips a second erf
+        _erf(e1, out=e1)  # cached so backward skips a second erf
         a1 = e1 + 1.0
         a1 *= z1
         a1 *= 0.5

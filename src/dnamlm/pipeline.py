@@ -14,7 +14,6 @@ sees only the schedule.
 
 from __future__ import annotations
 
-import ctypes
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -52,6 +51,7 @@ from .model import (
     save_checkpoint,
     train_step,
 )
+from .model.training import _keep_freed_heap
 from .rng import STREAM_BATCH, STREAM_MASK, STREAM_PROBE, split
 from .tokenizer import (
     CLS_ID,
@@ -67,32 +67,6 @@ CHECKPOINT_DIRNAME = "checkpoint"
 
 #: Sequences in the attention probe batch.
 PROBE_SEQUENCES = 16
-
-# glibc's mallopt parameters (malloc.h) and the values that turn each off.
-_M_TRIM_THRESHOLD, _NEVER_TRIM = -1, -1
-_M_MMAP_MAX, _NO_MMAP = -4, 0
-
-
-def _keep_freed_heap() -> None:
-    """Ask glibc to keep freed memory in the process, for the rest of its life.
-
-    Each training step frees tens of MB of temporaries.  By default glibc
-    serves large blocks by ``mmap`` and unmaps them on free, and trims the
-    heap top back to the kernel; the next step then faults every page in
-    again, which took up to a fifth of the pretrain benchmark's CPU time.
-    With trimming and ``mmap`` off, freed blocks are reused in place.  This
-    moves where arrays live, never what they hold.  Where the C library has
-    no ``mallopt`` (not glibc), it does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _NEVER_TRIM)
-    mallopt(_M_MMAP_MAX, _NO_MMAP)
-
 
 def schedule_from_config(run: RunConfig) -> MaskSchedule:
     """The run's mask schedule: staged for RandomMask, one stage of width k for the baseline.

@@ -1,6 +1,9 @@
+import hashlib
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +18,20 @@ from dnamlm.model import (
     forward,
     init_model,
 )
-from dnamlm.model.network import _contract
+from dnamlm.model.network import (
+    _ERF_CHUNK,
+    _ERF_P,
+    _ERF_Q,
+    _ERF_T,
+    _ERF_U,
+    _contract,
+    _erf,
+)
+
+try:
+    from scipy.special import erf as scipy_erf
+except ImportError:  # the program does not need scipy; these tests then use digests
+    scipy_erf = None
 
 
 def closed_form_param_count(cfg: ModelConfig) -> int:
@@ -384,3 +400,133 @@ class TestContract:
             assert proc.returncode == 0, proc.stderr
             digests.add(proc.stdout.strip())
         assert len(digests) == 1
+
+
+def _cephes_erf(x: float) -> float:
+    """Cephes ndtr.c's erf on one Python float, with libm's exp: scipy's float64 erf."""
+    if math.isnan(x):
+        return math.nan
+    if x < 0.0:
+        return -_cephes_erf(-x)
+    if x <= 1.0:
+        z = x * x
+        t = _ERF_T[0]
+        for c in _ERF_T[1:]:
+            t = t * z + c
+        u = z + _ERF_U[0]
+        for c in _ERF_U[1:]:
+            u = u * z + c
+        return x * t / u
+    if x >= 8.0:  # erfc(x) < 1.2e-29 here, so 1 - erfc(x) is 1.0
+        return 1.0
+    p = _ERF_P[0]
+    for c in _ERF_P[1:]:
+        p = p * x + c
+    q = x + _ERF_Q[0]
+    for c in _ERF_Q[1:]:
+        q = q * x + c
+    return 1.0 - math.exp(-x * x) * p / q
+
+
+def _cephes32(x: np.ndarray) -> np.ndarray:
+    return np.array([_cephes_erf(float(v)) for v in x.ravel()]).astype(np.float32)
+
+
+_FLT = np.finfo(np.float32)
+_ONE = np.float32(1)
+_EDGES = np.array(
+    [0.0, 1.0, np.nextafter(_ONE, np.float32(0)), np.nextafter(_ONE, np.float32(2)),
+     _FLT.smallest_subnormal, _FLT.smallest_normal - _FLT.smallest_subnormal,
+     _FLT.smallest_normal, _FLT.max, np.inf, *np.linspace(5.9, 9.0, 32)],
+    dtype=np.float32,
+)
+_EDGES = np.concatenate([_EDGES, -_EDGES, np.array([np.nan], np.float32)])
+
+
+class TestErf:
+    """``network._erf`` is scipy's Cephes erf to the bit on float32 inputs.
+
+    The fingerprinted runs feed the GELU values with |x| < 0.6, so they
+    never reach the |x| > 1 branch; these tests do.  Each float32 check
+    holds without scipy: against a sha256 digest of scipy's output, or
+    against ``_cephes_erf`` above.
+    """
+
+    # (first bit pattern, end, stride) -> sha256 of scipy.special.erf's float32 output
+    # (scipy 1.17.1).  A stride of 4,099 samples every binade of both signs,
+    # inf and NaN; [1, 4) is every float32 there, where exp decides the bits.
+    @pytest.mark.parametrize("lo, hi, step, digest", [
+        (0, 2**32, 4099, "acc3c54d02b77dc4eb94e74a87a8b8dde71e3af96e6b8488d43471bb2a003375"),
+        (0x3F800000, 0x40800000, 1,
+         "b4c9d4639189530d2e7ee532dbcfef95bbec82fcc68ef61741b8a6aaec6012e9"),
+    ], ids=["every-binade", "one-to-four"])
+    def test_float32_matches_scipy_digest(self, lo, hi, step, digest):
+        sha = hashlib.sha256()
+        block = 1 << 22
+        for start in range(lo, hi, block * step):
+            bits = np.arange(start, min(hi, start + block * step), step, dtype=np.uint64)
+            x = bits.astype(np.uint32).view(np.float32)
+            with np.errstate(invalid="ignore"):  # signalling NaNs warn when widened
+                got = _erf(x, np.empty_like(x))
+                if scipy_erf is not None:
+                    assert got.tobytes() == scipy_erf(x).tobytes()
+            sha.update(got.tobytes())
+        assert sha.hexdigest() == digest
+
+    def test_edge_values(self):
+        got = _erf(_EDGES, np.empty_like(_EDGES))
+        assert got.tobytes() == _cephes32(_EDGES).tobytes()
+        if scipy_erf is not None:
+            assert got.tobytes() == scipy_erf(_EDGES).tobytes()
+        for v, e in zip(_EDGES[:-1].tolist(), got[:-1].tolist()):
+            assert math.copysign(1.0, e) == math.copysign(1.0, v)  # -0.0 gives -0.0
+            if v == 0.0 or abs(v) >= 5.9:  # inf included
+                assert e == (0.0 if v == 0.0 else math.copysign(1.0, v))
+        assert got[-1:].view(np.uint32)[0] == 0x7FC00000  # the canonical NaN, as scipy gives
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_with_large_inputs(self, dtype):
+        """``_encode`` calls ``_erf(a, out=a)``: the |x| > 1 indices must be
+        found before the output overwrites the input, in every chunk."""
+        x = (np.random.default_rng(3).standard_normal(3 * _ERF_CHUNK + 5) * 2.0).astype(dtype)
+        assert (np.abs(x) > 1).mean() > 0.3
+        expected = _erf(x, np.empty_like(x))
+        a = x.copy()
+        assert _erf(a, out=a) is a
+        assert a.tobytes() == expected.tobytes()
+        if dtype is np.float32:
+            assert a.tobytes() == _cephes32(x).tobytes()
+
+    def test_non_contiguous_and_one_element(self):
+        x = (np.random.default_rng(4).standard_normal((40, 600)) * 1.5).astype(np.float32)
+        for view in (lambda a: a[:, ::3], lambda a: a.T, lambda a: a[::-1]):
+            v = view(x)
+            expected = _erf(np.ascontiguousarray(v), np.empty(v.shape, np.float32))
+            assert _erf(v, np.empty(v.shape, np.float32)).tobytes() == expected.tobytes()
+            a = view(x.copy())
+            assert _erf(a, out=a) is a
+            assert np.ascontiguousarray(a).tobytes() == expected.tobytes()
+        for one in (np.array([1.5], np.float32), np.array(-0.25, np.float32)):
+            out = np.empty_like(one)
+            assert _erf(one, out) is out and out.shape == one.shape
+            assert out.tobytes() == _cephes32(one).reshape(one.shape).tobytes()
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (_EDGES, _EDGES.astype(np.float64)):
+                _erf(x, np.empty_like(x))
+                a = x.copy()
+                _erf(a, out=a)
+
+    def test_float64_within_one_ulp(self):
+        """numpy's SIMD exp is not libm's, so a float64 value may be 1 ulp off."""
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.standard_normal(4000) * s for s in (0.2, 1.0, 3.0)])
+        x = np.concatenate([x, _EDGES[np.isfinite(_EDGES)].astype(np.float64)])
+        reference = np.array([_cephes_erf(v) for v in x.tolist()])
+        if scipy_erf is not None:
+            assert scipy_erf(x).tobytes() == reference.tobytes()
+        got = _erf(x, np.empty_like(x))
+        assert np.signbit(got).tolist() == np.signbit(reference).tolist()
+        assert np.abs(got.view(np.int64) - reference.view(np.int64)).max() <= 1

@@ -8,10 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from dnamlm import pipeline
 from dnamlm.config import run_config_from_dict
 from dnamlm.errors import ConfigInvalid
 from dnamlm.masking import IGNORE_LABEL, allowed_widths
+from dnamlm.model import training
 from dnamlm.pipeline import (
     assemble_batch,
     attention_probe,
@@ -239,7 +239,7 @@ def _glibc_mallopt() -> bool:
 
 # Two pretrain_run calls at the benchmark's shape (batch 16 x 128, hidden 64,
 # ff 256, 6-mers); prints the second call's minor page faults per step.
-_FAULTS_PER_STEP = """
+_PRETRAIN_FAULTS_PER_STEP = """
 import os, resource, tempfile
 from dnamlm.config import run_config_from_dict
 from dnamlm.pipeline import pretrain_run
@@ -259,6 +259,42 @@ with tempfile.TemporaryDirectory() as out:
     print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / STEPS)
 """
 
+# Two finetune_classify calls at about the classify benchmark's shape (64
+# rows of 40-131 bp, 2 epochs of batch 32, hidden 64, ff 256, max_len 128);
+# prints the second call's minor page faults per training step.
+_FINETUNE_FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from dnamlm.corpus import DnaSequence, LabeledExample
+from dnamlm.model import ModelConfig, init_model
+from dnamlm.model.training import FinetuneConfig, finetune_classify
+from dnamlm.tokenizer import build_vocab
+rng = np.random.default_rng(0)
+vocab = build_vocab(6)
+examples = [
+    LabeledExample(DnaSequence(f"s{i}", "".join(rng.choice(list("ACGT"), rng.integers(40, 132)))),
+                   i % 2)
+    for i in range(64)
+]
+def finetune():
+    params = init_model(ModelConfig(vocab_size=vocab.size, num_layers=2, num_heads=4,
+                                    hidden_dim=64, ff_dim=256, max_len=128, num_classes=2))
+    finetune_classify(params, examples, 2, vocab, FinetuneConfig(epochs=2, batch_size=32))
+finetune()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+finetune()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+"""
+
+
+def _faults_per_step(script: str) -> float:
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
 
 @pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
 def test_pretrain_steps_reuse_the_freed_heap():
@@ -268,12 +304,16 @@ def test_pretrain_steps_reuse_the_freed_heap():
     about 2,600 minor faults per step at this shape; reusing the freed heap
     takes under one.
     """
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_STEP], capture_output=True, text=True,
-        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 250
+    assert _faults_per_step(_PRETRAIN_FAULTS_PER_STEP) < 250
+
+
+@pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
+def test_finetune_steps_reuse_the_freed_heap():
+    """The same for fine-tuning: glibc's defaults took about 15,500 minor
+    faults per step of the second call at this shape; reusing the freed
+    heap takes about 11.
+    """
+    assert _faults_per_step(_FINETUNE_FAULTS_PER_STEP) < 1500
 
 
 class _LibcWithoutMallopt:
@@ -287,8 +327,8 @@ def _no_libc(name):
 
 @pytest.mark.parametrize("cdll", [_LibcWithoutMallopt, _no_libc])
 def test_keep_freed_heap_is_a_no_op_without_mallopt(monkeypatch, cdll):
-    monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
-    assert pipeline._keep_freed_heap() is None
+    monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+    assert training._keep_freed_heap() is None
 
 
 def test_keep_freed_heap_turns_trimming_and_mmap_off(monkeypatch):
@@ -300,6 +340,6 @@ def test_keep_freed_heap_turns_trimming_and_mmap_off(monkeypatch):
             calls.append((param, value))
             return 1
 
-    monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: Libc())
-    pipeline._keep_freed_heap()
+    monkeypatch.setattr(training.ctypes, "CDLL", lambda name: Libc())
+    training._keep_freed_heap()
     assert calls == [(-1, -1), (-4, 0)]  # M_TRIM_THRESHOLD -1, M_MMAP_MAX 0
