@@ -4,6 +4,13 @@ Post-norm BERT-style blocks: self-attention with padding-masked softmax,
 residual + layer norm, GELU feed-forward, residual + layer norm.  The
 backward pass is hand-derived and verified against central finite
 differences in the test suite; no autodiff framework is involved.
+
+A loss that reads only some positions lets the last layer compute only
+those query rows, attending over every key: the masked positions for the
+MLM loss (``backward``), the [CLS] block for classification.  Each cut
+shape is checked once per process against the running BLAS, and runs only
+where every product it changes keeps the full pass's bits; so losses,
+gradients and logits equal the full pass's to the bit.
 """
 
 from __future__ import annotations
@@ -160,7 +167,17 @@ def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, cache):
 _BLOCK = 448
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _block_bounds(k: int) -> list[int]:
+    """Block edges of a shared axis of length ``k`` in ``_contract``."""
+    bounds = [0]
+    while k - bounds[-1] > _BLOCK:
+        rest = k - bounds[-1]
+        bounds.append(bounds[-1] + (_BLOCK if rest >= 2 * _BLOCK else (rest + 1) // 2))
+    bounds.append(k)
+    return bounds
+
+
+def _contract(a: np.ndarray, b: np.ndarray, bounds: list[int] | None = None) -> np.ndarray:
     """``a @ b`` for 2-D arrays, summed over the shared axis in a fixed order.
 
     BLAS splits a long shared axis into blocks, and where it splits depends
@@ -170,23 +187,21 @@ def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     half rounded up), and the block products are added in order; the result
     is the same for every BLAS thread count.  448 and the halving are
     OpenBLAS's float32 rule on two threads on AVX-512 machines, where the
-    values therefore equal a plain two-thread product.
+    values therefore equal a plain two-thread product.  ``bounds`` replaces
+    the block edges: a last layer cut to some rows passes the full axis's
+    edges mapped onto those rows, so each block adds the same nonzero terms.
     """
-    k = a.shape[1]
-    bounds = [0]
-    while k - bounds[-1] > _BLOCK:
-        rest = k - bounds[-1]
-        bounds.append(bounds[-1] + (_BLOCK if rest >= 2 * _BLOCK else (rest + 1) // 2))
-    bounds.append(k)
+    if bounds is None:
+        bounds = _block_bounds(a.shape[1])
     out = a[:, : bounds[1]] @ b[: bounds[1]]
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         out += a[:, lo:hi] @ b[lo:hi]
     return out
 
 
-def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def _weight_grad(x: np.ndarray, dy: np.ndarray, bounds: list[int] | None = None) -> np.ndarray:
     """Gradient of ``x @ w`` with respect to w: x^T dy over batch and positions."""
-    return _contract(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]))
+    return _contract(x.reshape(-1, x.shape[-1]).T, dy.reshape(-1, dy.shape[-1]), bounds)
 
 
 def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -230,13 +245,78 @@ def _exact_widths(length: int) -> list[int]:
     return _exact_widths(half - half % 8) + [length]
 
 
-# Query rows of the last layer when only the [CLS] vector is read.  One
-# row would take BLAS's matrix-vector path, which adds in another order.
-_CLS_QUERIES = 8
+# Query rows of a cut last layer come in blocks of this many: classification
+# runs the first block ([CLS]), the MLM step as many as its most-masked
+# sequence needs.  One row would take BLAS's matrix-vector path, which adds
+# in another order.
+_QUERY_BLOCK = 8
 
 # (head layout, dtype, batch width) -> the widths of _cut_widths, each with its
 # last layer's query rows, found once per process.
 _CUT_WIDTHS: dict[tuple, dict[int, int]] = {}
+
+# (head layout, ff width, dtype, batch, width, query rows) -> whether the MLM
+# step's last layer may run that many query rows, found once per process.
+_CUT_ROWS: dict[tuple, bool] = {}
+
+
+def _pick(x: np.ndarray, rows: np.ndarray, axis: int = 1) -> np.ndarray:
+    """The positions ``rows`` of each sequence along ``axis`` of ``x``.
+
+    ``rows`` is (batch, n) and ``x`` has its batch axis first.
+    """
+    lead = tuple(np.arange(k).reshape((-1,) + (1,) * (axis - i))
+                 for i, k in enumerate(x.shape[:axis]))
+    return x[lead + (rows.reshape(rows.shape[:1] + (1,) * (axis - 1) + rows.shape[1:]),)]
+
+
+def _row_blocks(rows: np.ndarray, length: int) -> tuple[np.ndarray, list[int]]:
+    """The picked ``rows`` of sequences of width ``length`` as indices into
+    their flattened (batch * length) row axis, ascending, and ``_contract``'s
+    block edges of that axis mapped onto those indices."""
+    flat = (rows + length * np.arange(rows.shape[0])[:, None]).ravel()
+    return flat, np.searchsorted(flat, _block_bounds(rows.shape[0] * length)).tolist()
+
+
+def _binade_draw(seed, dtype):
+    """A function drawing arrays of ``dtype`` whose values span many binades,
+    so that any change of summation order changes some last bit."""
+    rng = np.random.default_rng(seed)
+    binades = np.exp2(np.arange(-12, 12)).astype(dtype)
+
+    def draw(*shape):
+        x = rng.random(shape, dtype=dtype)
+        x -= 0.5
+        x *= binades[rng.integers(0, binades.size, size=shape, dtype=np.uint8)]
+        return x
+
+    return draw
+
+
+def _mm_rows_exact(x: np.ndarray, w: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether ``_mm`` of the positions ``rows`` of ``x`` gives their bits in ``_mm(x, w)``."""
+    return _pick(_mm(x, w), rows).tobytes() == _mm(_pick(x, rows), w).tobytes()
+
+
+def _attention_rows_exact(xq, xk, xv, weights, rows, num_heads) -> bool:
+    """Whether attention run on the query positions ``rows`` alone gives
+    those positions' bits of the full pass, in its scores and its context.
+
+    ``xq``, ``xk`` and ``xv`` are (batch, len, hidden) layer inputs and
+    ``weights`` (batch, heads, len, len) attention weights; each product is
+    computed full and on the picked rows, in ``_encode``'s shapes and
+    strides.  The products are one BLAS call per sequence and head, so one
+    sequence tells for any batch.  The same two products serve backward:
+    ``dctx @ vh^T`` has the scores' form, ``dscores @ kh`` the context's.
+    """
+    def heads(x):
+        return _split_heads(np.ascontiguousarray(x), num_heads)
+
+    kt, vh = heads(xk).swapaxes(-1, -2), heads(xv)
+    return (
+        _pick(heads(xq) @ kt, rows, 2).tobytes() == (heads(_pick(xq, rows)) @ kt).tobytes()
+        and _pick(weights @ vh, rows, 2).tobytes() == (_pick(weights, rows, 2) @ vh).tobytes()
+    )
 
 
 def _cut_widths(params: ModelParams, length: int) -> dict[int, int]:
@@ -253,22 +333,15 @@ def _cut_widths(params: ModelParams, length: int) -> dict[int, int]:
     strides, on values spread over many binades so that any change of
     summation order shows, and the width is kept only if every real entry
     has the same bits.  A kept width runs its last layer on the first
-    ``_CLS_QUERIES`` positions if the attention products of that query block
-    and a position-wise product (``_mm``) on that many rows also keep their
-    bits, and on every position otherwise.  The other position-wise products
-    are not checked: their rows kept their bits at every row count tried.
+    ``_QUERY_BLOCK`` positions where that block keeps its bits in the
+    attention products (``_attention_rows_exact``) and a position-wise
+    product (``_mm_rows_exact``), and on every position otherwise.  The other position-wise products are
+    not checked: their rows kept their bits at every row count tried.
     """
     cfg = params.config
     key = (cfg.hidden_dim, cfg.num_heads, cfg.dtype, length)
     if key not in _CUT_WIDTHS:
-        rng = np.random.default_rng(length)
-        binades = np.exp2(np.arange(-12, 12)).astype(cfg.dtype)
-
-        def draw(*shape):
-            x = rng.random(shape, dtype=cfg.dtype)
-            x -= 0.5
-            x *= binades[rng.integers(0, binades.size, size=shape, dtype=np.uint8)]
-            return x
+        draw = _binade_draw(length, cfg.dtype)
 
         def heads(x):
             return _split_heads(np.ascontiguousarray(x), cfg.num_heads)
@@ -276,9 +349,8 @@ def _cut_widths(params: ModelParams, length: int) -> dict[int, int]:
         xq, xk, xv = (draw(1, length, cfg.hidden_dim) for _ in range(3))
         scores = heads(xq) @ heads(xk).swapaxes(-1, -2)
         weights = np.abs(draw(1, cfg.num_heads, length, length))
-        q = min(_CLS_QUERIES, length)
         w_pos = draw(cfg.hidden_dim, cfg.hidden_dim)
-        block_mm = _mm(xq[:, :q], w_pos).tobytes() == _mm(xq, w_pos)[:, :q].tobytes()
+        block = np.arange(min(_QUERY_BLOCK, length))[None, :]
         rows = {}
         for w in reversed(_exact_widths(length)):
             weights[..., w:] = 0.0  # widest first, so each width zeroes a longer tail
@@ -290,16 +362,88 @@ def _cut_widths(params: ModelParams, length: int) -> dict[int, int]:
                 and weights[..., :w, :].sum(-1).tobytes() == cut.sum(-1).tobytes()
                 and context[..., :w, :].tobytes() == (cut @ vc).tobytes()
             ):
-                block = (
-                    block_mm
-                    and scores[..., :q, :w].tobytes()
-                    == (heads(xq[:, :q]) @ kc.swapaxes(-1, -2)).tobytes()
-                    and context[..., :q, :].tobytes()
-                    == (np.ascontiguousarray(cut[..., :q, :]) @ vc).tobytes()
+                cut_block = (
+                    block.size < w
+                    and _attention_rows_exact(xq[:, :w], xk[:, :w], xv[:, :w], cut, block,
+                                              cfg.num_heads)
+                    and _mm_rows_exact(xq[:, :w], w_pos, block)
                 )
-                rows[w] = min(q, w) if block else w
+                rows[w] = block.size if cut_block else w
         _CUT_WIDTHS[key] = dict(sorted(rows.items()))
     return _CUT_WIDTHS[key]
+
+
+def _cut_rows_exact(cfg, batch: int, length: int, n: int) -> bool:
+    """Whether this process's numpy and BLAS give the MLM step's last layer,
+    run on ``n`` query rows of each of ``batch`` sequences of width
+    ``length``, the full pass's bits in its loss and every gradient.
+
+    The cut changes the shapes of: the query side's position-wise products
+    (``_mm``, forward and with transposed weights in backward); the
+    attention products of the query rows; the key and value gradients,
+    which sum over query rows; and the weight gradients' blocks, which sum
+    the kept rows of each of ``_contract``'s blocks.  Each is computed full
+    and cut, in the step's shapes and strides, on values spread over many
+    binades, with zeros in the rows that backward leaves zero; the key is
+    kept only if every kept entry has the same bits.  With OpenBLAS 0.3.31
+    on AVX-512, a transposed-weight ``_mm`` changed bits at 2 to 18 rows,
+    any position-wise product at 1 row, and an attention product at 1 query
+    row; nothing changed at larger row counts.  A weight-gradient block
+    keeps as many rows as the masked positions put in it, so the blocks are
+    compared at the counts of one drawn selection; a sweep of every count
+    from 0 to 448, at one and two BLAS threads, kept every bit.  The bias
+    and layer-norm gradients are numpy sums over the rows in order, to
+    which the left-out rows add only zeros.
+    """
+    d, f, h = cfg.hidden_dim, cfg.ff_dim, cfg.num_heads
+    key = (d, h, f, cfg.dtype, batch, length, n)
+    if key not in _CUT_ROWS:
+        draw = _binade_draw(key[4:], cfg.dtype)
+        rows = np.sort(draw(batch, length).argsort(axis=1)[:, :n], axis=1)
+        left_out = np.ones((batch, length), dtype=bool)
+        np.put_along_axis(left_out, rows, False, axis=1)
+        xd, dy, xf = draw(batch, length, d), draw(batch, length, d), draw(batch, length, f)
+        wdd, wdf, wfd = draw(d, d), draw(d, f), draw(f, d)
+        xk, xv = draw(1, length, d), draw(1, length, d)
+        weights = np.abs(draw(1, h, length, length))
+
+        def zeroed(x):
+            x = x.copy()
+            x[left_out] = 0.0
+            return x
+
+        # dvh = attn^T dctx and dkh = dscores^T qh, summed over the query rows
+        dkv_full = weights.swapaxes(-1, -2) @ _split_heads(zeroed(dy)[:1], h)
+        dkv_cut = _pick(weights, rows[:1], 2).swapaxes(-1, -2) @ _split_heads(
+            _pick(dy[:1], rows[:1]), h)
+        _flat, bounds = _row_blocks(rows, length)
+        _CUT_ROWS[key] = (
+            _attention_rows_exact(xd[:1], xk, xv, weights, rows[:1], h)
+            and dkv_full.tobytes() == dkv_cut.tobytes()
+            and all(_mm_rows_exact(x, w, rows) for x, w in (
+                (xd, wdd), (xd, wdd.T), (xd, wdf), (xd, wfd.T), (xf, wfd), (xf, wdf.T)))
+            and all(
+                _weight_grad(x, zeroed(y)).tobytes()
+                == _weight_grad(_pick(x, rows), _pick(y, rows), bounds).tobytes()
+                for x, y in ((xd, dy), (xd, xf), (xf, dy))
+            )
+        )
+    return _CUT_ROWS[key]
+
+
+def _mlm_rows(cfg, keep: np.ndarray) -> np.ndarray | None:
+    """The last layer's query positions for an MLM batch whose labelled
+    positions are ``keep``, or None where the full pass must run.
+
+    Each sequence gets its labelled positions, padded with its earliest
+    unlabelled ones to a shared count: the most any sequence has, rounded up
+    to a multiple of ``_QUERY_BLOCK``; each row is in ascending order.
+    """
+    b, l = keep.shape
+    n = -(-max(int(keep.sum(1).max(initial=0)), 1) // _QUERY_BLOCK) * _QUERY_BLOCK
+    if n >= l or not _cut_rows_exact(cfg, b, l, n):
+        return None
+    return np.sort(np.argsort(~keep, axis=1, kind="stable")[:, :n], axis=1)
 
 
 def _as_batch(ids: np.ndarray, padding_mask: np.ndarray):
@@ -323,17 +467,17 @@ def _check_ids(cfg, ids: np.ndarray) -> None:
 
 
 def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray,
-            _last_queries: int | None = None):
+            rows: np.ndarray | int | None = None):
     """Run the encoder stack, returning final hidden states and a cache.
 
-    With ``_last_queries`` the last layer computes only that many leading
-    positions, attending over every key; the hidden states then have that
-    length.
+    ``rows`` picks the last layer's query positions: a (batch, n) array of
+    each sequence's positions in ascending order, or an int n for the first
+    n of every sequence.  That layer then computes only those positions,
+    attending over every key, and the hidden states hold them in that order.
     """
     cfg = params.config
     _check_ids(cfg, ids)
     l = ids.shape[1]
-
     x = params["tok_emb"][ids]
     x += params["pos_emb"][:l]
     pad_keys = ~real[:, None, None, :]
@@ -344,9 +488,9 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray,
     for i in range(cfg.num_layers):
         p = f"layer{i}."
         xin = x
-        if i == cfg.num_layers - 1 and _last_queries is not None:
-            x = xin[:, :_last_queries]
-        qh = _split_heads(_mm(x, params[p + "wq"]), cfg.num_heads)
+        cut = rows if i == cfg.num_layers - 1 else None
+        xq = xin if cut is None else xin[:, :cut] if isinstance(cut, int) else _pick(xin, cut)
+        qh = _split_heads(_mm(xq, params[p + "wq"]), cfg.num_heads)
         kh = _split_heads(_mm(xin, params[p + "wk"]), cfg.num_heads)
         vh = _split_heads(_mm(xin, params[p + "wv"]), cfg.num_heads)
         attn = qh @ kh.swapaxes(-1, -2)
@@ -358,7 +502,7 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray,
         attn /= attn.sum(-1, keepdims=True)
         ctx = _merge_heads(attn @ vh)
         r1 = _mm(ctx, params[p + "wo"])
-        r1 += x
+        r1 += xq
         x1, ln1_cache = _layer_norm(r1, params[p + "ln1_g"], params[p + "ln1_b"])
         z1 = _mm(x1, params[p + "w1"])
         z1 += params[p + "b1"]
@@ -372,27 +516,44 @@ def _encode(params: ModelParams, ids: np.ndarray, real: np.ndarray,
         r2 += x1
         x, ln2_cache = _layer_norm(r2, params[p + "ln2_g"], params[p + "ln2_b"])
         layers.append(
-            {"xin": xin, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx,
-             "ln1": ln1_cache, "x1": x1, "z1": z1, "e1": e1, "a1": a1, "ln2": ln2_cache}
+            {"rows": cut, "xin": xin, "xq": xq, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
+             "ctx": ctx, "ln1": ln1_cache, "x1": x1, "z1": z1, "e1": e1, "a1": a1, "ln2": ln2_cache}
         )
     return x, layers
 
 
+def _scatter(part: np.ndarray, flat: np.ndarray, b: int, l: int) -> np.ndarray:
+    """A (b, l, d) array of zeros holding ``part``'s rows at the flat row indices ``flat``."""
+    full = np.zeros((b * l, part.shape[-1]), dtype=part.dtype)
+    full[flat] = part.reshape(-1, part.shape[-1])
+    return full.reshape(b, l, -1)
+
+
 def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.ndarray,
                      grads: dict[str, np.ndarray]) -> None:
-    """Backpropagate dhidden through the encoder stack into ``grads``."""
+    """Backpropagate dhidden through the encoder stack into ``grads``.
+
+    A layer that ran on picked query rows takes its backward on those rows:
+    its query-side weight gradients sum them within ``_contract``'s blocks of
+    the full row axis, and the key and value gradients sum over them.  Only
+    the query and residual gradients are scattered back to every position.
+    """
     cfg = params.config
     scale = 1.0 / math.sqrt(cfg.head_dim)
+    b, l = ids.shape
     dx = dhidden
     for i in reversed(range(cfg.num_layers)):
         p = f"layer{i}."
         c = layers[i]
+        bounds = None
+        if c["rows"] is not None:
+            flat, bounds = _row_blocks(c["rows"], l)
         dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_backward(
             dx, params[p + "ln2_g"], c["ln2"]
         )
         # r2 = x1 + gelu(x1 w1 + b1) w2 + b2
         da1 = _mm(dr2, params[p + "w2"].T)
-        grads[p + "w2"] = _weight_grad(c["a1"], dr2)
+        grads[p + "w2"] = _weight_grad(c["a1"], dr2, bounds)
         grads[p + "b2"] = dr2.sum((0, 1))
         z1 = c["z1"]
         dgelu = z1 * z1
@@ -404,7 +565,7 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
         half_one_plus_e1 *= 0.5
         dgelu += half_one_plus_e1
         dz1 = da1 * dgelu
-        grads[p + "w1"] = _weight_grad(c["x1"], dz1)
+        grads[p + "w1"] = _weight_grad(c["x1"], dz1, bounds)
         grads[p + "b1"] = dz1.sum((0, 1))
         dx1 = _mm(dz1, params[p + "w1"].T)
         dx1 += dr2
@@ -413,7 +574,7 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
         )
         # r1 = xin + merge(attn @ vh) wo
         dctx = _mm(dr1, params[p + "wo"].T)
-        grads[p + "wo"] = _weight_grad(c["ctx"], dr1)
+        grads[p + "wo"] = _weight_grad(c["ctx"], dr1, bounds)
         dctxh = _split_heads(dctx, cfg.num_heads)
         dattn = dctxh @ c["vh"].swapaxes(-1, -2)
         dvh = c["attn"].swapaxes(-1, -2) @ dctxh
@@ -425,16 +586,16 @@ def _encode_backward(params: ModelParams, layers, dhidden: np.ndarray, ids: np.n
         dqh = (dscores @ c["kh"]) * scale
         dkh = (dscores.swapaxes(-1, -2) @ c["qh"]) * scale
         dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
-        xin = c["xin"]
-        grads[p + "wq"] = _weight_grad(xin, dq)
-        grads[p + "wk"] = _weight_grad(xin, dk)
-        grads[p + "wv"] = _weight_grad(xin, dv)
+        grads[p + "wq"] = _weight_grad(c["xq"], dq, bounds)
+        grads[p + "wk"] = _weight_grad(c["xin"], dk)
+        grads[p + "wv"] = _weight_grad(c["xin"], dv)
+        if c["rows"] is not None:
+            dq, dr1 = (_scatter(a, flat, b, l) for a in (dq, dr1))
         dx = _mm(dq, params[p + "wq"].T)
         dx += _mm(dk, params[p + "wk"].T)
         dx += _mm(dv, params[p + "wv"].T)
         dx += dr1
     # embeddings
-    l = ids.shape[1]
     dtok = np.zeros_like(params["tok_emb"])
     np.add.at(dtok, ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
     if "tok_emb" in grads:  # tied MLM head already contributed
@@ -541,16 +702,30 @@ def backward(params: ModelParams, batch: Batch) -> tuple[float, dict[str, np.nda
     MLM loss when ``batch.labels`` is set, classification loss on the [CLS]
     vector when ``batch.class_labels`` is set.  Parameters that do not feed
     the selected loss get explicit zero gradients.
+
+    The MLM loss reads only the labelled positions, so the last layer runs
+    its query side (query projection, attention rows, ``wo``, both layer
+    norms and the feed-forward) on the rows ``_mlm_rows`` picks, forward
+    and backward, with keys and values over every position.  It does so
+    only where ``_cut_rows_exact`` finds that this BLAS keeps every bit at
+    that shape, and otherwise runs every position; the loss and gradients
+    are the full pass's either way, to the bit.
     """
     if (batch.labels is None) == (batch.class_labels is None):
         raise ConfigInvalid("set exactly one of batch.labels / batch.class_labels")
     ids, real = _as_batch(batch.ids, batch.padding_mask)
-    hidden, layers = _encode(params, ids, real)
-    grads: dict[str, np.ndarray] = {}
+    _check_ids(params.config, ids)  # before the row cut's check sizes arrays by the batch
+    rows = None
     if batch.labels is not None:
         labels = np.asarray(batch.labels)
         if labels.shape != ids.shape:
             raise ConfigInvalid(f"labels shape {labels.shape} != ids shape {ids.shape}")
+        rows = _mlm_rows(params.config, labels != IGNORE_LABEL)
+    hidden, layers = _encode(params, ids, real, rows)
+    grads: dict[str, np.ndarray] = {}
+    if batch.labels is not None:
+        if rows is not None:
+            labels = _pick(labels, rows)
         loss, dhidden = _mlm_head_backward(params, hidden, labels, grads)
     else:
         loss, dhidden = _classifier_backward(params, hidden, batch.class_labels, grads)

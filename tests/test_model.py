@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dnamlm.errors import ConfigInvalid, LengthExceeded
-from dnamlm.masking import IGNORE_LABEL
+from dnamlm.masking import IGNORE_LABEL, MaskSchedule, plan_mask
 from dnamlm.model import (
     Batch,
     ModelConfig,
@@ -18,6 +18,7 @@ from dnamlm.model import (
     forward,
     init_model,
 )
+from dnamlm.model import network
 from dnamlm.model.network import (
     _ERF_CHUNK,
     _ERF_P,
@@ -356,6 +357,172 @@ class TestBackward:
         logp = rows - np.log(np.exp(rows).sum(-1, keepdims=True))
         dense = -logp[np.arange(rows.shape[0]), batch.labels[keep]].mean()
         assert loss == pytest.approx(dense, rel=1e-12)
+
+
+def _span_batch(cfg, batch, length, width, seed, p=0.05) -> Batch:
+    """A batch masked by RandomMask's planner at span ``width``, with
+    every other row padded at its end."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(5, cfg.vocab_size, size=(batch, length))
+    real = np.ones((batch, length), dtype=bool)
+    for row in range(1, batch, 2):
+        real[row, length - 1 - row % length // 2 :] = False
+    ids[~real] = 0
+    schedule = MaskSchedule(total_steps=1, stage_fractions=(1.0,), base_width=width)
+    labels = np.full((batch, length), IGNORE_LABEL, dtype=np.int64)
+    for row in range(batch):
+        plan = plan_mask(length, 1, p, schedule, rng, exclude=~real[row])
+        labels[row, plan.mask_ids] = ids[row, plan.mask_ids]
+    return Batch(ids=ids, padding_mask=real, labels=labels)
+
+
+def _mlm_config(head_width=16, num_heads=2, **overrides) -> ModelConfig:
+    base = dict(vocab_size=69, num_layers=2, num_heads=num_heads,
+                hidden_dim=head_width * num_heads, ff_dim=64, max_len=128,
+                dtype="float32", seed=head_width)
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+class TestMlmRowCut:
+    """``backward`` runs the last layer on the masked rows; every byte equals the full pass."""
+
+    @staticmethod
+    def _cut_and_full(params, batch, monkeypatch):
+        """Backward as it runs and with the row cut refused; asserts both give
+        the same bytes and returns the last layer's rows of the first (or None)."""
+        seen = []
+        encode = network._encode
+
+        def spy(params, ids, real, rows=None):
+            seen.append(rows)
+            return encode(params, ids, real, rows)
+
+        monkeypatch.setattr(network, "_encode", spy)
+        loss, grads = backward(params, batch)
+        with monkeypatch.context() as refused:
+            refused.setattr(network, "_cut_rows_exact", lambda *args: False)
+            full_loss, full_grads = backward(params, batch)
+        assert seen[1] is None
+        assert np.float64(loss).tobytes() == np.float64(full_loss).tobytes()
+        assert list(grads) == list(full_grads)
+        for name in grads:
+            assert grads[name].dtype == full_grads[name].dtype, name
+            assert grads[name].tobytes() == full_grads[name].tobytes(), name
+        return seen[0]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 16])
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("head_width", [8, 16, 24, 32])
+    def test_gradients_equal_the_full_pass(self, head_width, tie, batch_size, monkeypatch):
+        params = init_model(_mlm_config(head_width, tie_embeddings=tie))
+        batch = _span_batch(params.config, batch_size, 64, 10, seed=head_width + batch_size)
+        rows = self._cut_and_full(params, batch, monkeypatch)
+        if rows is not None:
+            keep = batch.labels != IGNORE_LABEL
+            assert rows.shape[1] % 8 == 0 and rows.shape[1] < 64
+            assert (np.diff(rows, axis=1) > 0).all()
+            for row in range(batch_size):
+                assert set(np.flatnonzero(keep[row])) <= set(rows[row].tolist())
+
+    @pytest.mark.parametrize("width", [6, 8, 10, 12, 14])
+    def test_each_stage_width_at_the_benchmark_layout(self, width, monkeypatch):
+        """The pretrain benchmark's model and batch shape, at p 0.025."""
+        params = init_model(_mlm_config(16, num_heads=4, ff_dim=256, vocab_size=4101))
+        batch = _span_batch(params.config, 16, 128, width, seed=width, p=0.025)
+        rows = self._cut_and_full(params, batch, monkeypatch)
+        assert rows is not None  # the cut ran
+
+    @pytest.mark.parametrize("case", ["none", "one", "empty_row", "full_row"])
+    @pytest.mark.parametrize("batch_size", [1, 2, 16])
+    def test_sparse_and_full_masks(self, case, batch_size, monkeypatch):
+        params = init_model(_mlm_config(16))
+        batch = _span_batch(params.config, batch_size, 40, 6, seed=batch_size)
+        labels = batch.labels
+        if case in ("none", "one"):
+            labels[:] = IGNORE_LABEL
+        if case == "one":
+            labels[-1, 3] = batch.ids[-1, 3]
+        if case == "empty_row":
+            labels[0] = IGNORE_LABEL
+        if case == "full_row":
+            labels[0] = np.where(batch.padding_mask[0], batch.ids[0], IGNORE_LABEL)
+        rows = self._cut_and_full(params, batch, monkeypatch)
+        if case == "full_row":
+            assert rows is None  # 40 rows round up to the whole width
+
+    @pytest.mark.parametrize("overrides", [dict(dtype="float64"), dict(num_layers=1),
+                                           dict(num_layers=3, tie_embeddings=True)])
+    def test_other_layouts(self, overrides, monkeypatch):
+        params = init_model(_mlm_config(16, **overrides))
+        batch = _span_batch(params.config, 8, 96, 12, seed=5)
+        self._cut_and_full(params, batch, monkeypatch)
+
+    def test_check_runs_once_per_key(self, monkeypatch):
+        monkeypatch.setattr(network, "_CUT_ROWS", {})
+        calls = []
+        check = network._attention_rows_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_attention_rows_exact", counted)
+        params = init_model(_mlm_config(16))
+        batch = _span_batch(params.config, 16, 64, 6, seed=1)
+        n = -(-(batch.labels != IGNORE_LABEL).sum(1).max() // 8) * 8
+        for _ in range(3):
+            backward(params, batch)
+        assert len(calls) == 1
+        assert list(network._CUT_ROWS) == [(32, 2, 64, "float32", 16, 64, int(n))]
+        backward(params, _span_batch(params.config, 4, 64, 6, seed=1))
+        assert len(calls) == 2  # a new batch size is a new key
+
+    def test_refused_key_takes_the_full_pass(self, monkeypatch):
+        params = init_model(_mlm_config(16))
+        batch = _span_batch(params.config, 16, 64, 6, seed=2)
+        n = int(-(-(batch.labels != IGNORE_LABEL).sum(1).max() // 8) * 8)
+        key = (32, 2, 64, "float32", 16, 64, n)
+        monkeypatch.setattr(network, "_CUT_ROWS", {key: False})
+        assert self._cut_and_full(params, batch, monkeypatch) is None
+
+    def test_row_count_a_product_changes_bits_at_takes_the_full_pass(self, monkeypatch):
+        """A stand-in BLAS whose position-wise products change their last bit
+        below 64 rows: the check refuses those row counts, and only those."""
+        monkeypatch.setattr(network, "_CUT_ROWS", {})
+        mm = network._mm
+
+        def small_rows_differ(x, w):
+            out = mm(x, w)
+            if x.size // x.shape[-1] < 64:
+                out = np.nextafter(out, np.inf)
+            return out
+
+        monkeypatch.setattr(network, "_mm", small_rows_differ)
+        params = init_model(_mlm_config(16))
+        small = _span_batch(params.config, 2, 64, 6, seed=3)  # 2 x 8 or 2 x 16 rows
+        large = _span_batch(params.config, 16, 64, 6, seed=3)
+        assert self._cut_and_full(params, small, monkeypatch) is None
+        assert self._cut_and_full(params, large, monkeypatch) is not None
+        assert sorted(network._CUT_ROWS.values()) == [False, True]
+
+    def test_too_wide_batch_is_refused_before_the_check(self, monkeypatch):
+        monkeypatch.setattr(network, "_CUT_ROWS", {})
+        params = init_model(_mlm_config(16, max_len=32))
+        batch = _span_batch(params.config, 4, 33, 6, seed=6)
+        with pytest.raises(LengthExceeded):
+            backward(params, batch)
+        assert network._CUT_ROWS == {}
+
+    def test_rows_up_to_the_width_skip_the_check(self, monkeypatch):
+        monkeypatch.setattr(network, "_CUT_ROWS", {})
+        params = init_model(_mlm_config(16))
+        batch = _span_batch(params.config, 2, 12, 6, seed=4)
+        batch.labels[0, 1] = batch.ids[0, 1]  # 12 positions: 8 rows at most
+        batch.labels[1, :] = IGNORE_LABEL
+        batch.labels[1, :9] = batch.ids[1, :9]  # 9 masked round up to 16 >= 12
+        assert self._cut_and_full(params, batch, monkeypatch) is None
+        assert network._CUT_ROWS == {}
 
 
 # Gradients of a desk-sized float32 batch: the weight gradients sum over
